@@ -1,20 +1,24 @@
 """Vectorized-kernel speedup gate: ``make perf-bench``.
 
-Times each rewritten hot kernel against its retained ``*_reference``
-implementation on fixed synthetic inputs and writes the verdict to
-``BENCH_perf.json``.  Five kernels carry hard floors (the tentpole claims
-of the two vectorization PRs):
+Times each rewritten hot kernel against its scalar ``*_reference``
+baseline on fixed synthetic inputs and writes the verdict to
+``BENCH_perf.json``.  The SWF baselines ship in :mod:`repro.workload.swf`
+(they are production fallbacks); every other baseline is the equivalence
+oracle in ``tests/oracles/``.  Five kernels carry hard floors (the
+tentpole claims of the two vectorization PRs):
 
 * SWF ingest (``read_swf`` vs ``read_swf_reference``) on an
   archive-shaped 120k-job log — must be **>= 5x** faster;
-* SMACOF at ``n_init=8`` (``engine="batched"`` vs ``"reference"``) —
-  must be **>= 3x** faster;
-* Lublin generation at 1M jobs (``engine="batched"`` vs
-  ``"reference"``) — must be **>= 10x** faster;
+* SMACOF at ``n_init=8`` (``smacof`` vs ``oracles.mds.smacof_reference``)
+  — must be **>= 3x** faster;
+* Lublin generation at 1M jobs (``generate`` vs
+  ``oracles.models.generate_reference``) — must be **>= 10x** faster;
 * bootstrap stability at ``n_boot=20`` on a paper-shaped matrix
-  (``engine="batched"`` vs ``"reference"``) — must be **>= 3x** faster;
+  (``bootstrap_stability`` vs
+  ``oracles.bootstrap.bootstrap_stability_reference``) — must be
+  **>= 3x** faster;
 * the FCFS simulator loop at 100k jobs (``simulate`` vs
-  ``simulate_reference``) — must be **>= 2x** faster.
+  ``oracles.scheduler.simulate_reference``) — must be **>= 2x** faster.
 
 The windowed R/S kernel and the bulk SWF renderer are recorded
 informationally (their speedups are real but size-dependent, so they
@@ -38,9 +42,12 @@ from typing import Callable, Dict
 
 import numpy as np
 
-OUT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_perf.json"
-)
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+OUT_PATH = os.path.join(_ROOT, "BENCH_perf.json")
+
+# The scalar baselines are the equivalence oracles under tests/oracles/.
+if os.path.join(_ROOT, "tests") not in sys.path:
+    sys.path.append(os.path.join(_ROOT, "tests"))
 
 #: Hard speedup floors, asserted here and in benchmarks/test_bench_kernels.py.
 TARGETS = {
@@ -135,19 +142,21 @@ def measure_swf_ingest(n_jobs: int = SWF_JOBS, *, reps: int = 3) -> Dict[str, fl
 
 
 def measure_smacof(n_points: int = SMACOF_POINTS, *, reps: int = 2) -> Dict[str, float]:
+    from oracles.mds import smacof_reference
     from repro.coplot.mds.base import pairwise_euclidean
     from repro.coplot.mds.smacof import smacof
 
     d = pairwise_euclidean(np.random.default_rng(0).normal(size=(n_points, 5)))
     return _measure_pair(
-        lambda: smacof(d, seed=1, n_init=8, engine="batched"),
-        lambda: smacof(d, seed=1, n_init=8, engine="reference"),
+        lambda: smacof(d, seed=1, n_init=8),
+        lambda: smacof_reference(d, seed=1, n_init=8),
         reps,
     )
 
 
 def measure_rs_pox(n: int = RS_SERIES, *, reps: int = 5) -> Dict[str, float]:
-    from repro.selfsim.rs_analysis import rs_pox_points, rs_pox_points_reference
+    from oracles.selfsim import rs_pox_points_reference
+    from repro.selfsim.rs_analysis import rs_pox_points
 
     x = np.cumsum(np.random.default_rng(3).standard_normal(n))
     return _measure_pair(
@@ -167,12 +176,13 @@ def measure_render(n_jobs: int = SWF_JOBS, *, reps: int = 3) -> Dict[str, float]
 
 
 def measure_lublin(n_jobs: int = LUBLIN_JOBS, *, reps: int = 3) -> Dict[str, float]:
+    from oracles.models import generate_reference
     from repro.models import LublinModel
 
     model = LublinModel()
     return _measure_pair(
-        lambda: model.generate(n_jobs, seed=11, engine="batched"),
-        lambda: model.generate(n_jobs, seed=11, engine="reference"),
+        lambda: model.generate(n_jobs, seed=11),
+        lambda: generate_reference(model, n_jobs, seed=11),
         reps,
     )
 
@@ -180,13 +190,14 @@ def measure_lublin(n_jobs: int = LUBLIN_JOBS, *, reps: int = 3) -> Dict[str, flo
 def measure_bootstrap(
     n_boot: int = BOOT_N, shape=BOOT_SHAPE, *, reps: int = 3
 ) -> Dict[str, float]:
+    from oracles.bootstrap import bootstrap_stability_reference
     from repro.coplot.extend import bootstrap_stability
 
     rng = np.random.default_rng(7)
     y = rng.normal(size=shape) + np.linspace(0, 3, shape[1])
     return _measure_pair(
-        lambda: bootstrap_stability(y, n_boot=n_boot, seed=0, engine="batched"),
-        lambda: bootstrap_stability(y, n_boot=n_boot, seed=0, engine="reference"),
+        lambda: bootstrap_stability(y, n_boot=n_boot, seed=0),
+        lambda: bootstrap_stability_reference(y, n_boot=n_boot, seed=0),
         reps,
     )
 
@@ -214,7 +225,8 @@ def simulator_workload(n: int = SIM_JOBS, seed: int = 0, *, machine_procs: int =
 
 
 def measure_simulate_fcfs(n_jobs: int = SIM_JOBS, *, reps: int = 3) -> Dict[str, float]:
-    from repro.scheduler import FcfsScheduler, UnlimitedAllocator, simulate, simulate_reference
+    from oracles.scheduler import simulate_reference
+    from repro.scheduler import FcfsScheduler, UnlimitedAllocator, simulate
 
     workload = simulator_workload(n_jobs)
     return _measure_pair(
@@ -225,9 +237,7 @@ def measure_simulate_fcfs(n_jobs: int = SIM_JOBS, *, reps: int = 3) -> Dict[str,
 
 
 def main(argv=None) -> int:
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    )
+    sys.path.insert(0, os.path.join(_ROOT, "src"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true", help="small inputs, no gate, no BENCH_perf.json"

@@ -4,8 +4,9 @@ Two layers: pytest-benchmark timings of the fast kernels themselves
 (tracked across runs like every other bench module), and the gated
 speedup assertions — the ≥5× SWF-ingest, ≥3× SMACOF, ≥10× Lublin
 generation, ≥3× bootstrap-stability, and ≥2× FCFS-simulation floors,
-measured against the retained ``*_reference`` implementations exactly
-as ``make perf-bench`` measures them (the traffic-scale kernels at
+measured against the scalar ``*_reference`` baselines (the SWF fallbacks
+and the ``tests/oracles/`` equivalence oracles) exactly as
+``make perf-bench`` measures them (the traffic-scale kernels at
 reduced sizes so the suite stays fast; ``make perf-bench`` runs the
 full 1M-job / 100k-job workloads).
 """
@@ -77,7 +78,7 @@ class TestKernelBench:
         from repro.coplot.mds.smacof import smacof
 
         d = pairwise_euclidean(np.random.default_rng(0).normal(size=(16, 5)))
-        result = benchmark(lambda: smacof(d, seed=1, n_init=8, engine="batched"))
+        result = benchmark(lambda: smacof(d, seed=1, n_init=8))
         assert result.coords.shape == (16, 2)
 
     def test_bench_rs_pox_windowed(self, benchmark):
@@ -91,7 +92,7 @@ class TestKernelBench:
         from repro.models import LublinModel
 
         model = LublinModel()
-        w = benchmark(lambda: model.generate(50_000, seed=11, engine="batched"))
+        w = benchmark(lambda: model.generate(50_000, seed=11))
         assert len(w) == 50_000
 
     def test_bench_bootstrap_batched(self, benchmark):
@@ -99,9 +100,7 @@ class TestKernelBench:
 
         rng = np.random.default_rng(7)
         y = rng.normal(size=(14, 40)) + np.linspace(0, 3, 40)
-        result = benchmark(
-            lambda: bootstrap_stability(y, n_boot=5, seed=0, engine="batched")
-        )
+        result = benchmark(lambda: bootstrap_stability(y, n_boot=5, seed=0))
         assert result.positional_spread.shape == (14,)
 
     def test_bench_simulate_fcfs_fast(self, benchmark):

@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
@@ -22,22 +22,15 @@ from scipy import optimize
 from repro.coplot.dissimilarity import pairwise_dissimilarity
 from repro.coplot.mds.alienation import coefficient_of_alienation
 from repro.coplot.mds.base import upper_triangle
-from repro.coplot.mds.classical import classical_mds
-from repro.coplot.mds.smacof import _run_batch
+from repro.coplot.mds.smacof import _default_starts, _run_batch
 from repro.coplot.model import Coplot, CoplotResult
 from repro.coplot.normalize import normalize_matrix
-from repro.coplot.procrustes import (
-    procrustes_align,
-    procrustes_align_batch,
-    procrustes_disparity,
-)
+from repro.coplot.procrustes import procrustes_align_batch
 from repro.obs.spans import span as obs_span
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_2d
 
 __all__ = ["project_observation", "bootstrap_stability", "StabilityReport"]
-
-_BOOT_ENGINES = ("batched", "reference")
 
 
 def _column_norms(y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -159,8 +152,8 @@ def _replicate_coords_batched(
     call instead of ``n_boot`` separate :meth:`Coplot.fit` runs; arrow
     fitting (which stability never reads) is skipped entirely.  Start
     configurations reproduce :func:`~repro.coplot.mds.smacof.smacof`
-    draw for draw, so each replicate's map is the one the reference
-    engine computes.
+    draw for draw, so each replicate's map is the one :meth:`Coplot.fit`
+    computes.
     """
     n = mat.shape[0]
     n_boot = cols_per_boot.shape[0]
@@ -179,11 +172,9 @@ def _replicate_coords_batched(
             continue
         live.append(b)
         sv_rows.append(sv_b)
-        starts.append(classical_mds(s_b, dim=cp.dim))
-        rng_b = as_generator(cp.seed)
-        scale = float(sv_b.mean())
-        for _ in range(cp.n_init - 1):
-            starts.append(rng_b.normal(scale=scale, size=(n, cp.dim)))
+        starts.extend(
+            _default_starts(s_b, sv_b, cp.dim, cp.n_init, as_generator(cp.seed))
+        )
     if not live:
         return coords
 
@@ -212,23 +203,16 @@ def bootstrap_stability(
     n_boot: int = 20,
     coplot: Optional[Coplot] = None,
     seed: SeedLike = 0,
-    engine: str = "batched",
 ) -> StabilityReport:
     """Bootstrap the map over variables.
 
     Each replicate resamples the variable columns with replacement, refits
     Co-plot, aligns the replicate map onto the full-data map by Procrustes,
-    and records every observation's displacement.
-
-    Parameters
-    ----------
-    engine:
-        ``"batched"`` (default) embeds every replicate's restarts in one
-        lockstep SMACOF batch and aligns all replicate maps in one
-        vectorized Procrustes pass; ``"reference"`` refits replicates one
-        at a time through :meth:`Coplot.fit` and is kept as the
-        equivalence oracle.  Both see identical column resamples and
-        produce the same report.
+    and records every observation's displacement.  Every replicate's
+    restarts are embedded in one lockstep SMACOF batch and all replicate
+    maps are aligned in one vectorized Procrustes pass; the result equals
+    refitting the replicates one at a time through :meth:`Coplot.fit`
+    (the oracle in ``tests/oracles/bootstrap.py``).
 
     Returns
     -------
@@ -241,8 +225,6 @@ def bootstrap_stability(
     n, p = mat.shape
     if n_boot < 2:
         raise ValueError(f"n_boot must be >= 2, got {n_boot}")
-    if engine not in _BOOT_ENGINES:
-        raise ValueError(f"engine must be one of {_BOOT_ENGINES}, got {engine!r}")
     cp = coplot if coplot is not None else Coplot(n_init=2)
     if signs is None:
         signs = [f"v{j}" for j in range(p)]
@@ -254,46 +236,24 @@ def bootstrap_stability(
         ref_scale = 1.0
 
     rng = as_generator(seed)
-    displacements = np.zeros((n_boot, n))
     disparities = []
-    with obs_span("bootstrap.stability", n_boot=n_boot, n=n, p=p, engine=engine):
-        if engine == "batched":
-            # The column resamples are pre-drawn in the same rng order the
-            # reference engine consumes them (Coplot.fit never touches
-            # this generator), so both engines see identical replicates.
-            cols_per_boot = np.stack(
-                [rng.integers(0, p, size=p) for _ in range(n_boot)]
-            )
-            boot_coords = _replicate_coords_batched(mat, cols_per_boot, cp)
-            aligned = procrustes_align_batch(ref_coords, boot_coords)
-            displacements = (
-                np.linalg.norm(aligned - ref_coords[None, :, :], axis=2)
-                / ref_scale
-            )
-            a_c = ref_coords - ref_coords.mean(axis=0)
-            norm = float(np.sum(a_c**2))
-            for b in range(n_boot):
-                if norm == 0:
-                    disparities.append(0.0)
-                    continue
-                resid = float(
-                    np.sum((a_c - (aligned[b] - ref_coords.mean(axis=0))) ** 2)
-                )
-                disparities.append(min(max(resid / norm, 0.0), 1.0))
-        else:
-            for b in range(n_boot):
-                cols = rng.integers(0, p, size=p)
-                # Resampled columns may repeat: suffix signs to keep them
-                # unique.
-                boot_signs = [f"{signs[j]}~{k}" for k, j in enumerate(cols)]
-                replicate = cp.fit(mat[:, cols], labels=labels, signs=boot_signs)
-                aligned_one = procrustes_align(ref_coords, replicate.coords)
-                displacements[b] = (
-                    np.linalg.norm(aligned_one - ref_coords, axis=1) / ref_scale
-                )
-                disparities.append(
-                    procrustes_disparity(ref_coords, replicate.coords)
-                )
+    with obs_span("bootstrap.stability", n_boot=n_boot, n=n, p=p):
+        # Column resamples are drawn one replicate at a time, in the order
+        # a per-replicate refit loop would consume them.
+        cols_per_boot = np.stack([rng.integers(0, p, size=p) for _ in range(n_boot)])
+        boot_coords = _replicate_coords_batched(mat, cols_per_boot, cp)
+        aligned = procrustes_align_batch(ref_coords, boot_coords)
+        displacements = (
+            np.linalg.norm(aligned - ref_coords[None, :, :], axis=2) / ref_scale
+        )
+        a_c = ref_coords - ref_coords.mean(axis=0)
+        norm = float(np.sum(a_c**2))
+        for b in range(n_boot):
+            if norm == 0:
+                disparities.append(0.0)
+                continue
+            resid = float(np.sum((a_c - (aligned[b] - ref_coords.mean(axis=0))) ** 2))
+            disparities.append(min(max(resid / norm, 0.0), 1.0))
 
     return StabilityReport(
         labels=list(reference.labels),

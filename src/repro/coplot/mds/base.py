@@ -44,15 +44,15 @@ class MDSResult:
 
 
 def check_dissimilarity(s) -> np.ndarray:
-    """Validate a dissimilarity matrix: square, symmetric, non-negative,
-    zero diagonal."""
+    """Validate a dissimilarity matrix: square, finite, symmetric,
+    non-negative, zero diagonal."""
     mat = np.asarray(s, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"dissimilarity matrix must be square, got shape {mat.shape}")
     if mat.shape[0] < 2:
         raise ValueError("need at least 2 observations")
-    if np.any(np.isnan(mat)):
-        raise ValueError("dissimilarity matrix contains NaN")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("dissimilarity matrix contains NaN or infinite entries")
     if not np.allclose(mat, mat.T, rtol=1e-8, atol=1e-10):
         raise ValueError("dissimilarity matrix must be symmetric")
     if np.any(mat < 0):

@@ -13,8 +13,8 @@ the dissimilarity order.  Two classic choices:
 The public functions validate their inputs; the SMACOF engine calls the
 module-private unchecked kernels (``_pava``, ``_rank_image_unchecked``)
 because it constructs valid inputs itself and runs them inside the
-per-iteration hot loop.  :func:`isotonic_regression_reference` keeps the
-original scalar PAVA loop as the permanent equivalence oracle.
+per-iteration hot loop.  The original scalar PAVA loop is kept outside
+the package as the equivalence oracle (``tests/oracles/mds.py``).
 """
 
 from __future__ import annotations
@@ -25,17 +25,20 @@ import numpy as np
 
 from repro.util.validation import check_1d
 
-__all__ = ["isotonic_regression", "isotonic_regression_reference", "rank_image"]
+__all__ = ["isotonic_regression", "rank_image"]
 
 
-def _check_weights(arr: np.ndarray, weights) -> np.ndarray:
+def _check_inputs(arr: np.ndarray, weights) -> np.ndarray:
+    """Reject non-finite values; return validated (default unit) weights."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("y must be finite")
     if weights is None:
         return np.ones_like(arr)
     w = check_1d(weights, "weights")
     if w.shape != arr.shape:
         raise ValueError("weights must match y in length")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("weights must be positive and finite")
     return w
 
 
@@ -113,40 +116,8 @@ def isotonic_regression(y, weights=None) -> np.ndarray:
         The non-decreasing vector minimizing ``Σ w (fit - y)²``.
     """
     arr = check_1d(y, "y", min_len=1)
-    w = _check_weights(arr, weights)
+    w = _check_inputs(arr, weights)
     return _pava(arr, w)
-
-
-def isotonic_regression_reference(y, weights=None) -> np.ndarray:
-    """The original scalar PAVA loop, kept as the equivalence oracle.
-
-    Maintains blocks as (value, weight, count) on an explicit stack and
-    merges backwards whenever a new block violates monotonicity.  Same
-    contract as :func:`isotonic_regression`; the property tests assert
-    the two agree on random inputs, weights and ties.
-    """
-    arr = check_1d(y, "y", min_len=1)
-    w = _check_weights(arr, weights)
-
-    n = len(arr)
-    values = np.empty(n)
-    wsums = np.empty(n)
-    counts = np.empty(n, dtype=np.int64)
-    top = 0
-    for i in range(n):
-        values[top] = arr[i]
-        wsums[top] = w[i]
-        counts[top] = 1
-        top += 1
-        while top > 1 and values[top - 2] > values[top - 1]:
-            total_w = wsums[top - 2] + wsums[top - 1]
-            values[top - 2] = (
-                values[top - 2] * wsums[top - 2] + values[top - 1] * wsums[top - 1]
-            ) / total_w
-            wsums[top - 2] = total_w
-            counts[top - 2] += counts[top - 1]
-            top -= 1
-    return np.repeat(values[:top], counts[:top])
 
 
 def _rank_image_unchecked(d: np.ndarray, order: np.ndarray) -> np.ndarray:

@@ -7,24 +7,23 @@ their order — via Kruskal isotonic regression or Guttman's rank-image — and
 majorization.  Multiple restarts (one deterministic from classical scaling,
 the rest random) guard against local minima; the best configuration is kept.
 
-Two engines share the public entry point: the default ``"batched"`` engine
-runs every restart in lockstep as one ``(k, n, dim)`` tensor — batched
+Every restart runs in lockstep as one ``(k, n, dim)`` tensor — batched
 Guttman transforms, per-restart vectorized PAVA, cached ``triu`` indices,
-and no per-iteration input re-validation — while ``"reference"`` keeps the
-original one-restart-at-a-time scalar path as the permanent equivalence
-oracle (the property tests assert both select the same restart and agree
-on coordinates to 1e-9).
+and no per-iteration input re-validation.  The original
+one-restart-at-a-time scalar loop is kept outside the package as the
+equivalence oracle (``tests/oracles/mds.py``); the property tests assert
+both select the same restart and agree on coordinates to 1e-9.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.coplot.mds.alienation import coefficient_of_alienation, kruskal_stress
+from repro.coplot.mds.alienation import coefficient_of_alienation
 from repro.coplot.mds.base import (
     MDSResult,
     check_dissimilarity,
@@ -32,18 +31,13 @@ from repro.coplot.mds.base import (
     upper_triangle,
 )
 from repro.coplot.mds.classical import classical_mds
-from repro.coplot.mds.monotone import (
-    _pava_rows,
-    isotonic_regression_reference,
-    rank_image,
-)
+from repro.coplot.mds.monotone import _pava_rows
 from repro.obs.spans import span as obs_span
 from repro.util.rng import SeedLike, as_generator
 
 __all__ = ["smacof"]
 
 _TRANSFORMS = ("metric", "isotonic", "rank-image")
-_ENGINES = ("batched", "reference")
 
 
 @lru_cache(maxsize=128)
@@ -54,86 +48,6 @@ def _triu(n: int) -> Tuple[np.ndarray, np.ndarray]:
     iteration via ``_to_matrix``; the cache makes it once per size.
     """
     return np.triu_indices(n, k=1)
-
-
-def _disparities(
-    sv: np.ndarray, dv: np.ndarray, transform: str
-) -> np.ndarray:
-    """Compute disparities for the current distances *dv* given
-    dissimilarities *sv* (reference scalar path, one restart at a time)."""
-    if transform == "metric":
-        denom = float(np.sum(sv * sv))
-        scale = float(np.sum(sv * dv)) / denom if denom > 0 else 1.0
-        return sv * scale
-    # Ties in sv are broken by the current distances (Kruskal's primary
-    # approach): within a tie block the distances are free to keep their
-    # own order.
-    order = np.lexsort((dv, sv))
-    out = np.empty_like(dv)
-    if transform == "isotonic":
-        out[order] = isotonic_regression_reference(dv[order])
-    elif transform == "rank-image":
-        out = rank_image(dv, order)
-    else:  # pragma: no cover - guarded by caller
-        raise ValueError(f"unknown transform {transform!r}")
-    return out
-
-
-def _guttman_transform(coords: np.ndarray, dhat_mat: np.ndarray) -> np.ndarray:
-    """One Guttman transform step: X <- (1/n) B(X) X with unit weights."""
-    n = coords.shape[0]
-    d = pairwise_euclidean(coords)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(d > 0, dhat_mat / np.where(d > 0, d, 1.0), 0.0)
-    b = -ratio
-    np.fill_diagonal(b, 0.0)
-    np.fill_diagonal(b, -b.sum(axis=1))
-    return (b @ coords) / n
-
-
-def _to_matrix(flat: np.ndarray, n: int) -> np.ndarray:
-    mat = np.zeros((n, n))
-    iu = _triu(n)
-    mat[iu] = flat
-    mat[(iu[1], iu[0])] = flat
-    return mat
-
-
-def _run_single(
-    sv: np.ndarray,
-    n: int,
-    coords: np.ndarray,
-    transform: str,
-    max_iter: int,
-    tol: float,
-) -> tuple:
-    m = len(sv)
-    stress_prev = math.inf
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        dv = upper_triangle(pairwise_euclidean(coords))
-        dhat = _disparities(sv, dv, transform)
-        # Normalize disparities to fixed total squared size to pin the
-        # scale of the problem (standard nonmetric SMACOF normalization).
-        norm = float(np.sum(dhat**2))
-        if norm <= 0:
-            break
-        dhat = dhat * math.sqrt(m / norm)
-        stress = kruskal_stress(dhat, dv)
-        if abs(stress_prev - stress) < tol:
-            converged = True
-            stress_prev = stress
-            break
-        stress_prev = stress
-        coords = _guttman_transform(coords, _to_matrix(dhat, n))
-    coords = coords - coords.mean(axis=0)
-    return coords, float(stress_prev), it, converged
-
-
-# ---------------------------------------------------------------------------
-# Batched engine: all restarts advance in lockstep as a (k, n, dim) tensor.
-# ---------------------------------------------------------------------------
 
 
 def _batched_pairwise(coords: np.ndarray) -> np.ndarray:
@@ -278,8 +192,8 @@ def _run_batch(
     tol: float,
 ) -> tuple:
     """All restarts in lockstep; returns per-restart (coords, stress,
-    n_iter, converged) arrays matching what :func:`_run_single` would
-    produce for each start independently.
+    n_iter, converged) arrays, each restart advancing exactly as it would
+    on its own.
 
     *sv* is either one shared dissimilarity vector (m,) — the multi-restart
     case — or per-restart vectors (k, m), which lets callers batch restarts
@@ -319,7 +233,7 @@ def _run_batch(
         norm = np.sum(dhat * dhat, axis=1)
         n_iter[idx] = it
         # Restarts whose disparities collapsed stop exactly like the
-        # reference `break`: stress untouched, not converged.
+        # scalar loop's `break`: stress untouched, not converged.
         live = norm > 0
         if live.any():
             li = np.flatnonzero(live)
@@ -341,6 +255,19 @@ def _run_batch(
     return coords, stress_prev, n_iter, converged
 
 
+def _default_starts(
+    mat: np.ndarray, sv: np.ndarray, dim: int, n_init: int, rng: np.random.Generator
+) -> List[np.ndarray]:
+    """The classical-scaling start plus ``n_init - 1`` random ones scaled
+    to the mean dissimilarity, drawn from *rng* in order."""
+    n = mat.shape[0]
+    starts = [classical_mds(mat, dim=dim)]
+    scale = float(sv.mean())
+    for _ in range(n_init - 1):
+        starts.append(rng.normal(scale=scale, size=(n, dim)))
+    return starts
+
+
 def smacof(
     s,
     dim: int = 2,
@@ -352,7 +279,6 @@ def smacof(
     tol: float = 1e-9,
     select_by: str = "alienation",
     seed: SeedLike = None,
-    engine: str = "batched",
 ) -> MDSResult:
     """Run SMACOF MDS on a dissimilarity matrix.
 
@@ -373,19 +299,14 @@ def smacof(
         Number of starts: the first is deterministic (classical scaling),
         the rest are random.
     max_iter, tol:
-        Per-start iteration budget and stress-change stopping tolerance.
+        Per-start iteration budget (>= 1) and the finite, non-negative
+        stress-change stopping tolerance.
     select_by:
         ``"alienation"`` keeps the restart with the lowest coefficient of
         alienation (what the paper reports); ``"stress"`` keeps the lowest
         Kruskal stress.
     seed:
         RNG seed for the random restarts.
-    engine:
-        ``"batched"`` (default) advances all restarts in lockstep on
-        vectorized kernels; ``"reference"`` runs the original sequential
-        scalar path.  Both produce the same result (coords within 1e-9,
-        same selected restart); the reference engine exists so that stays
-        a tested property rather than a one-time claim.
 
     Returns
     -------
@@ -401,8 +322,10 @@ def smacof(
         raise ValueError(f"select_by must be 'alienation' or 'stress', got {select_by!r}")
     if n_init < 1:
         raise ValueError(f"n_init must be >= 1, got {n_init}")
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     sv = upper_triangle(mat)
     if np.all(sv == 0):
         # Degenerate: all observations identical; everything at the origin.
@@ -411,40 +334,23 @@ def smacof(
         )
     rng = as_generator(seed)
 
-    starts = []
     if init is not None:
         init_arr = np.asarray(init, dtype=float)
         if init_arr.shape != (n, dim):
             raise ValueError(f"init must have shape ({n}, {dim}), got {init_arr.shape}")
-        starts.append(init_arr.copy())
+        starts = [init_arr]
     else:
-        starts.append(classical_mds(mat, dim=dim))
-        scale = float(sv.mean())
-        for _ in range(n_init - 1):
-            starts.append(rng.normal(scale=scale, size=(n, dim)))
+        starts = _default_starts(mat, sv, dim, n_init, rng)
 
     best: Optional[MDSResult] = None
     best_key = math.inf
     # The SSA/SMACOF iteration loop is the engine's hottest path; the
     # ambient span makes it visible in streamed traces (no-op untraced).
-    with obs_span(
-        "mds.solve", transform=transform, n=n, starts=len(starts), engine=engine
-    ) as handle:
-        if engine == "batched":
-            stack = np.stack(starts)
-            all_coords, stresses, n_iters, convs = _run_batch(
-                sv, n, stack, transform, max_iter, tol
-            )
-            runs = [
-                (all_coords[j], float(stresses[j]), int(n_iters[j]), bool(convs[j]))
-                for j in range(stack.shape[0])
-            ]
-        else:
-            runs = [
-                _run_single(sv, n, start, transform, max_iter, tol)
-                for start in starts
-            ]
-        for coords, stress, it, conv in runs:
+    with obs_span("mds.solve", transform=transform, n=n, starts=len(starts)) as handle:
+        all_coords, stresses, n_iters, convs = _run_batch(
+            sv, n, np.stack(starts), transform, max_iter, tol
+        )
+        for coords, stress, it, conv in zip(all_coords, stresses, n_iters, convs):
             theta = coefficient_of_alienation(sv, upper_triangle(pairwise_euclidean(coords)))
             key = theta if select_by == "alienation" else stress
             if key < best_key:
@@ -452,9 +358,9 @@ def smacof(
                 best = MDSResult(
                     coords=coords,
                     alienation=theta,
-                    stress=stress,
-                    n_iter=it,
-                    converged=conv,
+                    stress=float(stress),
+                    n_iter=int(it),
+                    converged=bool(conv),
                 )
         assert best is not None
         handle.set(

@@ -134,17 +134,10 @@ class OpenLoopArrivals:
         out = np.concatenate(chunks)[:n_jobs]
         return out
 
-    def drive(
-        self,
-        model: WorkloadModel,
-        n_jobs: int,
-        seed: SeedLike = None,
-        *,
-        engine: Optional[str] = None,
-    ) -> Workload:
+    def drive(self, model: WorkloadModel, n_jobs: int, seed: SeedLike = None) -> Workload:
         """Generate *n_jobs* jobs from *model* arriving via this process."""
         model_rng, arrival_rng = spawn_children(seed, 2)
-        stream = model.generate(n_jobs, seed=model_rng, engine=engine)
+        stream = model.generate(n_jobs, seed=model_rng)
         return _replace_columns(
             stream, "+open-loop", submit_time=self.sample_times(n_jobs, arrival_rng)
         )
@@ -169,14 +162,7 @@ class ClosedLoopArrivals:
         """Steady-state throughput in jobs/second for a given mean runtime."""
         return self.n_users / (float(mean_runtime_s) + self.mean_think_s)
 
-    def drive(
-        self,
-        model: WorkloadModel,
-        n_jobs: int,
-        seed: SeedLike = None,
-        *,
-        engine: Optional[str] = None,
-    ) -> Workload:
+    def drive(self, model: WorkloadModel, n_jobs: int, seed: SeedLike = None) -> Workload:
         """Generate *n_jobs* jobs from *model*, submitted by the closed loop.
 
         Jobs are dealt round-robin to the virtual users; each user's next
@@ -185,7 +171,7 @@ class ClosedLoopArrivals:
         stance the generators share).
         """
         model_rng, arrival_rng = spawn_children(seed, 2)
-        stream = model.generate(n_jobs, seed=model_rng, engine=engine)
+        stream = model.generate(n_jobs, seed=model_rng)
         runtimes = stream.column("run_time")
         thinks = arrival_rng.exponential(self.mean_think_s, n_jobs)
 

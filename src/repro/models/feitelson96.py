@@ -23,8 +23,6 @@ workloads.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.models.base import WorkloadModel
@@ -129,9 +127,10 @@ class Feitelson96Model(WorkloadModel):
         """Draw distinct-job attributes in bulk until they cover *n_jobs*.
 
         Block sizes are a deterministic function of the remaining deficit
-        and the mean repetition count, so both engines consume the RNG
-        identically; the concatenated per-distinct-job arrays (gap, size,
-        repeat count, runtime, user) are what each engine assembles from.
+        and the mean repetition count, so the RNG consumption does not
+        depend on how the stream is assembled; the concatenated
+        per-distinct-job arrays (gap, size, repeat count, runtime, user)
+        are what generation and its scalar oracle assemble from.
         """
         mean_rep = max(float(np.sum(self.repeats.values * self.repeats.probs)), 1.0)
         gaps, sizes, reps, runtimes, users = [], [], [], [], []
@@ -155,48 +154,6 @@ class Feitelson96Model(WorkloadModel):
         }
 
     def _generate_arrays(self, n_jobs: int, rng: np.random.Generator) -> dict:
-        b = self._draw_blocks(n_jobs, rng)
-        gaps = b["gaps"].tolist()
-        all_sizes = b["sizes"]
-        all_reps = b["reps"].tolist()
-        all_runtimes = b["runtimes"].tolist()
-        all_users = b["users"]
-
-        submit = np.empty(n_jobs)
-        run_time = np.empty(n_jobs)
-        procs = np.empty(n_jobs, dtype=np.int64)
-        users = np.empty(n_jobs, dtype=np.int64)
-        execs = np.empty(n_jobs, dtype=np.int64)
-
-        filled = 0
-        distinct = 0
-        clock = 0.0
-        while filled < n_jobs:
-            clock = clock + gaps[distinct]
-            size = int(all_sizes[distinct])
-            runtime = all_runtimes[distinct]
-            user = int(all_users[distinct])
-            n_rep = all_reps[distinct]
-            distinct += 1
-            for k in range(min(n_rep, n_jobs - filled)):
-                # Pure model: each repetition is resubmitted as soon as the
-                # previous run ends, i.e. k full runtimes after the first.
-                submit[filled] = clock + k * runtime
-                run_time[filled] = runtime
-                procs[filled] = size
-                users[filled] = user
-                execs[filled] = distinct
-                filled += 1
-        return {
-            "submit_time": submit,
-            "run_time": run_time,
-            "used_procs": procs,
-            "user_id": users,
-            "executable_id": execs,
-            "wait_time": np.zeros(n_jobs),
-        }
-
-    def _generate_arrays_batched(self, n_jobs: int, rng: np.random.Generator) -> dict:
         b = self._draw_blocks(n_jobs, rng)
         cum = np.cumsum(b["reps"])
         # Number of distinct jobs needed to cover the stream; the last one's

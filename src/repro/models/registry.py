@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
-from repro.models.base import WorkloadModel, check_engine
+from repro.models.base import WorkloadModel
 from repro.models.downey import DowneyModel
 from repro.models.feitelson96 import Feitelson96Model
 from repro.models.feitelson97 import Feitelson97Model
@@ -25,23 +25,15 @@ _FACTORIES: Dict[str, Callable[[], WorkloadModel]] = {
 MODEL_NAMES = tuple(_FACTORIES)
 
 
-def create_model(name: str, *, engine: Optional[str] = None) -> WorkloadModel:
-    """Instantiate a model by its Figure 4 name with default parameters.
-
-    *engine* presets the model's generation engine
-    (``"batched"``/``"reference"``); default leaves the model's own
-    default (batched).
-    """
+def create_model(name: str) -> WorkloadModel:
+    """Instantiate a model by its Figure 4 name with default parameters."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise KeyError(f"unknown model {name!r}; known: {', '.join(MODEL_NAMES)}") from None
-    model = factory()
-    if engine is not None:
-        model.engine = check_engine(engine)
-    return model
+    return factory()
 
 
-def all_models(*, engine: Optional[str] = None) -> List[WorkloadModel]:
+def all_models() -> List[WorkloadModel]:
     """All five models with default parameters, in presentation order."""
-    return [create_model(name, engine=engine) for name in MODEL_NAMES]
+    return [create_model(name) for name in MODEL_NAMES]

@@ -33,7 +33,7 @@ from repro.scheduler.policies import (
     ConservativeBackfillScheduler,
     scheduler_for_flexibility,
 )
-from repro.scheduler.simulator import ScheduleResult, simulate, simulate_reference
+from repro.scheduler.simulator import ScheduleResult, simulate
 from repro.scheduler.gang import GangScheduleResult, simulate_gang
 from repro.scheduler.metrics import ScheduleMetrics, compute_metrics
 from repro.scheduler.shuffle import shuffle_order, shuffle_interarrivals
@@ -51,7 +51,6 @@ __all__ = [
     "scheduler_for_flexibility",
     "ScheduleResult",
     "simulate",
-    "simulate_reference",
     "GangScheduleResult",
     "simulate_gang",
     "ScheduleMetrics",

@@ -13,13 +13,12 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.selfsim.aggregate import _aggregate_unchecked, aggregate_series
+from repro.selfsim.aggregate import _aggregate_unchecked
 from repro.stats.regression import LinearFit, linear_fit
 from repro.util.validation import check_1d
 
 __all__ = [
     "variance_time_points",
-    "variance_time_points_reference",
     "hurst_variance_time",
 ]
 
@@ -54,25 +53,6 @@ def variance_time_points(
     log_var = []
     for m in _vt_sizes(arr.shape[0], min_blocks, n_sizes):
         v = float(_aggregate_unchecked(arr, int(m)).var())
-        if v > 0:
-            log_m.append(np.log(m))
-            log_var.append(np.log(v))
-    return np.asarray(log_m), np.asarray(log_var)
-
-
-def variance_time_points_reference(
-    x,
-    *,
-    min_blocks: int = 8,
-    n_sizes: int = 20,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Original loop with per-size validated aggregation (oracle)."""
-    arr = check_1d(x, "x", min_len=2)
-    log_m = []
-    log_var = []
-    for m in _vt_sizes(arr.shape[0], min_blocks, n_sizes):
-        agg = aggregate_series(arr, int(m))
-        v = float(agg.var())
         if v > 0:
             log_m.append(np.log(m))
             log_var.append(np.log(v))

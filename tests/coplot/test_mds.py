@@ -55,6 +55,14 @@ class TestBaseHelpers:
         m = np.array([[0.0, np.nan], [np.nan, 0.0]])
         with pytest.raises(ValueError, match="NaN"):
             check_dissimilarity(m)
+        # Infinite entries are rejected up front rather than failing
+        # inside classical scaling's eigendecomposition.
+        for bad in (np.inf, -np.inf):
+            m = np.array([[0.0, 1.0, bad], [1.0, 0.0, 1.0], [bad, 1.0, 0.0]])
+            with pytest.raises(ValueError, match="infinite"):
+                check_dissimilarity(m)
+            with pytest.raises(ValueError, match="infinite"):
+                smacof(m)
 
     def test_check_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -193,6 +201,12 @@ class TestSmacof:
             smacof(d, n_init=0)
         with pytest.raises(ValueError, match="dim"):
             smacof(d, dim=0)
+        for max_iter in (0, -1):
+            with pytest.raises(ValueError, match="max_iter"):
+                smacof(d, max_iter=max_iter)
+        for tol in (-1e-9, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol"):
+                smacof(d, tol=tol)
 
     def test_nonmetric_beats_metric_on_transformed_distances(self):
         """A monotone distortion of perfect distances: nonmetric MDS should

@@ -1,8 +1,8 @@
-"""Property tests: vectorized MDS kernels ≡ their reference implementations.
+"""Property tests: vectorized MDS kernels ≡ their scalar oracles.
 
-The batched SMACOF engine and the block-merge PAVA are perf rewrites of
-scalar loops; these tests are the permanent guarantee that the rewrite
-changed the speed and nothing else.
+The batched SMACOF and the block-merge PAVA are perf rewrites of the
+scalar loops kept in ``tests/oracles/mds.py``; these tests are the
+permanent guarantee that the rewrite changed the speed and nothing else.
 """
 
 import numpy as np
@@ -10,12 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.mds import isotonic_regression_reference, smacof_reference
 from repro.coplot.mds.base import pairwise_euclidean
-from repro.coplot.mds.monotone import (
-    _pava_rows,
-    isotonic_regression,
-    isotonic_regression_reference,
-)
+from repro.coplot.mds.monotone import _pava_rows, isotonic_regression
 from repro.coplot.mds.smacof import smacof
 
 # Values with frequent exact ties (halves) plus generic floats: PAVA's
@@ -75,8 +72,8 @@ class TestSmacofEngineEquivalence:
     def test_batched_matches_reference(self, transform, seed):
         rng = np.random.default_rng(seed + 100)
         d = pairwise_euclidean(rng.normal(size=(12, 4)))
-        a = smacof(d, seed=seed, n_init=8, transform=transform, engine="batched")
-        b = smacof(d, seed=seed, n_init=8, transform=transform, engine="reference")
+        a = smacof(d, seed=seed, n_init=8, transform=transform)
+        b = smacof_reference(d, seed=seed, n_init=8, transform=transform)
         # Same seed must select the same restart and land on the same map.
         np.testing.assert_allclose(a.coords, b.coords, rtol=0, atol=1e-9)
         assert a.alienation == pytest.approx(b.alienation, abs=1e-9)
@@ -86,11 +83,6 @@ class TestSmacofEngineEquivalence:
 
     def test_single_restart_matches(self):
         d = pairwise_euclidean(np.random.default_rng(5).normal(size=(9, 3)))
-        a = smacof(d, seed=7, n_init=1, engine="batched")
-        b = smacof(d, seed=7, n_init=1, engine="reference")
+        a = smacof(d, seed=7, n_init=1)
+        b = smacof_reference(d, seed=7, n_init=1)
         np.testing.assert_allclose(a.coords, b.coords, rtol=0, atol=1e-9)
-
-    def test_unknown_engine_rejected(self):
-        d = pairwise_euclidean(np.random.default_rng(0).normal(size=(5, 2)))
-        with pytest.raises(ValueError, match="engine"):
-            smacof(d, engine="turbo")

@@ -60,6 +60,12 @@ class TestIsotonicRegression:
             isotonic_regression([1.0, 2.0], weights=[1.0, 0.0])
         with pytest.raises(ValueError, match="match"):
             isotonic_regression([1.0, 2.0], weights=[1.0])
+        for bad in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="positive and finite"):
+                isotonic_regression([1.0, 2.0, 3.0], weights=[1.0, bad, 1.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                isotonic_regression([1.0, bad, 3.0])
 
 
 class TestRankImage:

@@ -1,39 +1,38 @@
-"""Bit-for-bit equivalence of the batched model samplers vs their scalar
-reference oracles.
+"""Bit-for-bit equivalence of the bulk model samplers vs their scalar
+oracles.
 
-Every model that grew an ``engine="batched"`` sampler keeps its original
-scalar generation loop as ``engine="reference"``; these tests pin the
-tentpole claim that both consume the identical RNG stream and emit the
-identical job arrays — not approximately, bitwise.
+Every model with a bulk sampler keeps its original per-job generation
+loop in ``tests/oracles/models.py``; these tests pin the claim that both
+consume the identical RNG stream and emit identical ``_generate_arrays``
+columns — not approximately, bitwise.
 """
 
 import numpy as np
 import pytest
 
+from oracles.models import reference_arrays
 from repro.models import (
     Feitelson96Model,
     JannModel,
     LublinModel,
     UserSessionModel,
-    create_model,
 )
-from repro.workload.fields import FIELD_NAMES
 
 SEEDS = list(range(5))
 
 
 def assert_streams_identical(a, b):
-    assert len(a) == len(b)
-    for name in FIELD_NAMES:
-        np.testing.assert_array_equal(
-            a.column(name), b.column(name), err_msg=f"column {name}"
-        )
+    assert a.keys() == b.keys()
+    for name in a:
+        got, want = np.asarray(a[name]), np.asarray(b[name])
+        assert got.dtype == want.dtype, f"column {name}"
+        np.testing.assert_array_equal(got, want, err_msg=f"column {name}")
 
 
 def both(model, n_jobs, seed):
     return (
-        model.generate(n_jobs, seed=seed, engine="batched"),
-        model.generate(n_jobs, seed=seed, engine="reference"),
+        model._generate_arrays(n_jobs, np.random.default_rng(seed)),
+        reference_arrays(model, n_jobs, np.random.default_rng(seed)),
     )
 
 
@@ -97,23 +96,3 @@ class TestUserSessionEquivalence:
         assert_streams_identical(
             *both(UserSessionModel(n_users=8, machine_procs=1), 600, 2)
         )
-
-
-class TestEngineSelection:
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            LublinModel().generate(10, seed=0, engine="turbo")
-
-    def test_registry_threads_engine(self):
-        m = create_model("Lublin", engine="reference")
-        assert m.engine == "reference"
-        assert_streams_identical(
-            m.generate(300, seed=5), LublinModel().generate(300, seed=5)
-        )
-
-    def test_per_call_engine_overrides_instance(self):
-        m = LublinModel()
-        m.engine = "reference"
-        a = m.generate(300, seed=6, engine="batched")
-        b = LublinModel().generate(300, seed=6)
-        assert_streams_identical(a, b)

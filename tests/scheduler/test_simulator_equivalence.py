@@ -1,16 +1,17 @@
 """Bit-for-bit equivalence of the array-fast simulator loop vs the
-retained per-event reference loop.
+per-event oracle loop in ``tests/oracles/scheduler.py``.
 
 The fast :func:`~repro.scheduler.simulator.simulate` replaces per-job
 allocator validation with one bulk call, batches arrival handling, skips
 provably-empty policy calls, and preallocates its trace buffers — none of
 which may change a single scheduled time.  Every check here asserts exact
-array equality against :func:`~repro.scheduler.simulator.simulate_reference`.
+array equality against ``oracles.scheduler.simulate_reference``.
 """
 
 import numpy as np
 import pytest
 
+from oracles.scheduler import simulate_reference
 from repro.scheduler import (
     ConservativeBackfillScheduler,
     EasyBackfillScheduler,
@@ -19,7 +20,6 @@ from repro.scheduler import (
     PowerOfTwoAllocator,
     UnlimitedAllocator,
     simulate,
-    simulate_reference,
 )
 from repro.workload.workload import MachineInfo, Workload
 

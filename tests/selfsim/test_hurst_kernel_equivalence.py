@@ -1,4 +1,5 @@
-"""Batched Hurst-estimator kernels ≡ the scalar reference loops, bitwise.
+"""Batched Hurst-estimator kernels ≡ the scalar oracle loops in
+``tests/oracles/selfsim.py``, bitwise.
 
 The windowed R/S and variance-time fast paths reduce along rows of
 contiguous matrices, which numpy evaluates with the same pairwise
@@ -12,16 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.selfsim.rs_analysis import (
-    _rs_rows,
-    rs_pox_points,
-    rs_pox_points_reference,
-    rs_statistic,
-)
-from repro.selfsim.variance_time import (
-    variance_time_points,
-    variance_time_points_reference,
-)
+from oracles.selfsim import rs_pox_points_reference, variance_time_points_reference
+from repro.selfsim.rs_analysis import _rs_rows, rs_pox_points, rs_statistic
+from repro.selfsim.variance_time import variance_time_points
 
 
 def _series(seed, n, walk=True):

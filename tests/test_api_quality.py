@@ -32,6 +32,28 @@ def _public_objects(module):
     return [(name, getattr(module, name)) for name in names]
 
 
+def _modules_with_submodules():
+    """Every package in PACKAGES plus its direct submodules."""
+    for pkg_name in PACKAGES:
+        pkg = importlib.import_module(pkg_name)
+        yield pkg
+        for info in pkgutil.iter_modules(getattr(pkg, "__path__", [])):
+            yield importlib.import_module(f"{pkg_name}.{info.name}")
+
+
+def _public_callables(module):
+    """(qualified name, callable) for every exported function, class and
+    public method (constructors included) of *module*."""
+    for name, obj in _public_objects(module):
+        if inspect.isfunction(obj):
+            yield f"{module.__name__}.{name}", obj
+        elif inspect.isclass(obj):
+            yield f"{module.__name__}.{name}", obj.__init__
+            for attr, member in inspect.getmembers(obj, callable):
+                if not attr.startswith("_"):
+                    yield f"{module.__name__}.{name}.{attr}", member
+
+
 class TestExports:
     @pytest.mark.parametrize("pkg", PACKAGES)
     def test_all_exports_resolve(self, pkg):
@@ -43,6 +65,34 @@ class TestExports:
     def test_package_has_docstring(self, pkg):
         module = importlib.import_module(pkg)
         assert module.__doc__ and len(module.__doc__.strip()) > 40, pkg
+
+
+class TestSingleImplementation:
+    """Each kernel ships one production path: no public ``engine`` switch
+    selects between implementations, and the scalar oracles live in
+    ``tests/oracles/`` rather than in the package's exports."""
+
+    def test_no_engine_parameter(self):
+        offenders = []
+        for module in _modules_with_submodules():
+            for qualname, fn in _public_callables(module):
+                try:
+                    params = inspect.signature(fn).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "engine" in params:
+                    offenders.append(qualname)
+        assert not offenders, f"public callables taking engine=: {sorted(set(offenders))}"
+
+    def test_no_reference_exports(self):
+        offenders = [
+            f"{module.__name__}.{name}"
+            for module in _modules_with_submodules()
+            if module.__name__ != "repro.workload.swf"
+            for name in getattr(module, "__all__", [])
+            if name.endswith("_reference")
+        ]
+        assert not offenders, f"*_reference names exported: {sorted(set(offenders))}"
 
 
 class TestDocstrings:

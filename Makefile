@@ -82,7 +82,7 @@ experiments:
 # experiment failures (the CI gate).
 experiments-quick:
 	$(PYTHON) -m repro.experiments --quick --jobs $(JOBS) --out results/quick \
-		--report results/SCORECARD-quick.md --trace results/trace-quick.jsonl
+		--report results/SCORECARD-quick.md
 
 quick:
 	$(PYTHON) -m repro.experiments --quick --jobs $(JOBS)

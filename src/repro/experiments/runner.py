@@ -22,8 +22,9 @@ Runs the requested experiments (all of them by default) on top of the
 * ``--chaos SEED[:SPEC]`` injects seeded, replayable faults (raise,
   hang, corrupt, exit) into task attempts — the failure drills of
   docs/ROBUSTNESS.md.
-* ``--trace FILE`` writes structured JSONL telemetry (one span per task
-  with wall time, cache hit/miss, retries, peak RSS) and prints a digest.
+* With a run directory, ``trace.jsonl`` streams every span, event and
+  metric as it lands, including one ``task.summary`` span per task
+  (wall time, cache hit/miss, retries, peak RSS).
 * One failed experiment no longer aborts the batch: the failure is
   reported, the rest complete, and the exit code is nonzero (1).  Claim
   misses exit 2 unless ``--no-fail-on-miss`` is given.
@@ -44,6 +45,7 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     TraceWriter,
+    event,
     set_tracer,
 )
 from repro.obs import clock as obs_clock
@@ -54,7 +56,6 @@ from repro.runtime import (
     RunJournal,
     TaskResult,
     TaskSpec,
-    Telemetry,
     historical_wall_times,
     longest_first,
     parse_chaos_spec,
@@ -159,12 +160,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="DIR",
         default=_DEFAULT_CACHE_DIR,
         help=f"result cache location (default {_DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="write structured JSONL telemetry (spans/events/metrics) to FILE",
     )
     parser.add_argument(
         "--metrics-out",
@@ -300,8 +295,27 @@ def main(argv: Optional[List[str]] = None) -> int:
             "trace_id": writer.trace_id,
             "parent_id": root_span_id,
         }
-    telemetry = Telemetry(sink=writer)
     metrics = MetricsRegistry()
+
+    def trace_record(type_: str, **fields: Any) -> None:
+        """Stream one run-level v2 record into the run's trace (if any)."""
+        if writer is not None:
+            ts = round(obs_clock.now(), 6)
+            writer.emit({"type": type_, "trace_id": writer.trace_id, "ts": ts, **fields})
+
+    def task_summary(exp_id: str, *, status: str, wall_s: float, **fields: Any) -> None:
+        # A root span per task (parent_id None): the record the run diff
+        # and the digest key on, distinct from the worker's task:<id> span.
+        trace_record(
+            "span",
+            name="task.summary",
+            span_id=obs_clock.new_id(),
+            parent_id=None,
+            task=exp_id,
+            status=status,
+            wall_s=round(wall_s, 6),
+            **fields,
+        )
 
     cache = ResultCache(args.cache_dir)
     keys = {exp_id: cache.key(exp_id, per_exp_kwargs[exp_id]) for exp_id in ids}
@@ -318,7 +332,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             if hit is not None:
                 payloads[exp_id] = hit
                 if journal is not None:
-                    journal.record(exp_id, status="ok", key=keys[exp_id])
+                    journal.record(
+                        exp_id, status="ok", key=keys[exp_id], compute_s=hit.get("compute_s")
+                    )
             elif exp_id in journaled_ok:
                 print(f"[resume] {exp_id}: journaled ok but cache entry missing; recomputing")
 
@@ -349,7 +365,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # with no history the order is the registry order, unchanged.
     ordered_misses = longest_first(misses, history)
     if history and ordered_misses != misses:
-        telemetry.event("schedule", policy="longest_first", order=list(ordered_misses))
+        event("schedule", policy="longest_first", order=list(ordered_misses))
     tasks = [
         TaskSpec(
             id=exp_id,
@@ -370,7 +386,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     ]
     executor = DagExecutor(
         jobs=args.jobs,
-        telemetry=telemetry,
         fault_plan=fault_plan,
         on_result=on_result,
         metrics=metrics,
@@ -404,7 +419,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 if exp_id in corrupt
                 else result.error
             )
-            telemetry.span(
+            task_summary(
                 exp_id,
                 status=status,
                 wall_s=result.wall_s,
@@ -420,7 +435,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         worker_hit = False if cached else bool(envelopes[exp_id].get("cache_hit"))
         worker_hits += worker_hit
         wall = 0.0 if cached else result.wall_s
-        telemetry.span(
+        task_summary(
             exp_id,
             status="ok",
             wall_s=wall,
@@ -442,10 +457,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             _write_outputs(run_dir, exp_id, payload)
 
     hits = sum(1 for exp_id in ids if exp_id in payloads and exp_id not in results) + worker_hits
-    telemetry.metric("cache_hits", hits)
-    telemetry.metric("cache_misses", len(ids) - hits)
-    telemetry.metric("task_failures", task_failures)
-    telemetry.metric("claim_misses", claim_misses)
+    trace_record("metric", name="cache_hits", value=hits)
+    trace_record("metric", name="cache_misses", value=len(ids) - hits)
+    trace_record("metric", name="task_failures", value=task_failures)
+    trace_record("metric", name="claim_misses", value=claim_misses)
     metrics.inc("cache_hits_total", hits)
     metrics.inc("cache_misses_total", len(ids) - hits)
     metrics.inc("task_failures_total", task_failures)
@@ -463,11 +478,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _ensure_parent(args.report)
         _write_scorecard(args.report, scorecard, seed=args.seed, quick=args.quick)
         print(f"Scorecard written to {args.report}")
-    if args.trace:
-        _ensure_parent(args.trace)
-        telemetry.write(args.trace)
-        print(telemetry.summary())
-        print(f"Trace written to {args.trace}")
 
     code = EXIT_OK
     if task_failures:
@@ -480,18 +490,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if writer is not None:
         # Close the run-level root span last: a trace with this span is a
         # run that exited cleanly; without it, a run that was killed.
-        writer.emit(
-            {
-                "type": "span",
-                "name": "run",
-                "trace_id": writer.trace_id,
-                "span_id": root_span_id,
-                "parent_id": None,
-                "ts": round(run_started, 6),
-                "wall_s": round(obs_clock.perf() - run_t0, 6),
-                "status": "ok" if code == EXIT_OK else "error",
-                "exit_code": code,
-            }
+        trace_record(
+            "span",
+            name="run",
+            span_id=root_span_id,
+            parent_id=None,
+            ts=round(run_started, 6),
+            wall_s=round(obs_clock.perf() - run_t0, 6),
+            status="ok" if code == EXIT_OK else "error",
+            exit_code=code,
         )
         set_tracer(None)
     return code

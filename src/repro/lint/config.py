@@ -18,7 +18,7 @@ exemptions of the determinism contract: :mod:`repro.util.rng` is the
 one place allowed to construct fresh-entropy generators (REP002), and
 :mod:`repro.obs.clock` is the one place allowed to read the wall
 clock and mint entropy-based ids (REP003) — everything else, including
-the telemetry shim, must route through it.
+the runtime executor and the trace writers, must route through it.
 """
 
 from __future__ import annotations

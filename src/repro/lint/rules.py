@@ -211,7 +211,7 @@ class NondeterministicCallRule(Rule):
     identical runs, so cached payloads stop being content-addressed
     facts.  :mod:`repro.obs.clock` is the sanctioned wall-clock and
     entropy-id module (default per-rule-exclude); anything else —
-    including the telemetry shim — must route through it, take
+    including the runtime executor — must route through it, take
     timestamps as parameters, or carry an inline suppression explaining
     why wall-clock behaviour is the point.
     """

@@ -7,8 +7,8 @@ The layer every other runtime PR is measured against (docs/OBSERVABILITY.md):
   manager that is a no-op when tracing is off, so library code
   instruments itself for free;
 * :mod:`repro.obs.trace` — crash-safe streaming ``trace.jsonl`` writer
-  (append+fsync per record, schema v2) and a reader that also loads v1
-  buffered traces and tolerates torn tails;
+  (append+fsync per record, schema v2) and a reader that tolerates torn
+  tails;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms flushed to
   ``metrics.json`` per run and exportable as Prometheus text;
 * :mod:`repro.obs.profile` — per-task cProfile capture (``--profile``);
@@ -42,7 +42,6 @@ from repro.obs.trace import (
     Trace,
     TraceWriter,
     read_trace,
-    write_trace,
 )
 
 __all__ = [
@@ -75,5 +74,4 @@ __all__ = [
     "set_tracer",
     "span",
     "summarize_trace",
-    "write_trace",
 ]

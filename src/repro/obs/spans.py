@@ -50,7 +50,7 @@ class Sink(Protocol):
 
 
 class ListSink:
-    """A sink that buffers records in memory (tests, the Telemetry shim)."""
+    """A sink that buffers records in memory (tests, event capture)."""
 
     def __init__(self) -> None:
         self.records: List[Dict[str, Any]] = []

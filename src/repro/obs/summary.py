@@ -5,8 +5,9 @@ views ``python -m repro.obs summarize`` prints: a digest line (task
 counts, cache ratio, retries, total wall), and the span tree with the
 *critical path* — the chain of spans that dominated wall time, found by
 walking from each root to its most expensive child — marked ``*``.
-Spans from v1 traces have no ids, so they render as a flat list under
-an implicit root; the digest works identically for both schemas.
+Id-less spans (older recorded traces, such as the committed perf
+baseline) cannot have children, so they render as a flat list of
+roots; the digest keys on each span's ``task`` field either way.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def critical_path(trace: Trace) -> List[Dict[str, Any]]:
     node = heaviest(children.get(None, []))
     while node is not None:
         path.append(node)
-        # An id-less span (v1 record) cannot have children; descending on
+        # An id-less span cannot have children; descending on
         # its None id would walk the root set again, forever.
         node_id = node.get("span_id")
         node = heaviest(children.get(node_id, [])) if node_id else None
@@ -103,7 +104,7 @@ def render_tree(trace: Trace, *, max_name: int = 48) -> str:
             lines.append(f"{indent}{branch}{name} {wall:.3f}s{suffix}{mark}")
             child_indent = indent + ("" if branch == "" else ("   " if last else "│  "))
             span_id = span.get("span_id")
-            if span_id:  # id-less v1 spans have no children by construction
+            if span_id:  # id-less spans have no children by construction
                 walk(span_id, child_indent)
 
     walk(None, "")

@@ -2,39 +2,31 @@
 
 A trace file is JSON Lines: a ``header`` record first (schema version,
 trace id), then ``span`` / ``event`` / ``metric`` records in completion
-order.  :class:`TraceWriter` appends each record with the same
-flush+fsync discipline as :mod:`repro.runtime.journal` — a run killed
-at any instant leaves a readable trace covering everything that
-finished, and a crash can tear at most the final line.
+order.  Spans carry ``trace_id`` / ``span_id`` / ``parent_id`` and a
+free-form ``name``; the runner's per-task summary spans
+(``task.summary``) also carry the ``task`` field the run-diff keys on.
+:class:`TraceWriter` appends each record through :mod:`repro.util.jsonl`
+(one fsync'd line) — a run killed at any instant leaves a readable
+trace covering everything that finished, and a crash can tear at most
+the final line.
 
 Concurrent writers are expected: the parent process streams run-level
 records while each worker appends its own hierarchical spans to the
 same file.  Every record is one short ``O_APPEND`` write well under the
 kernel's atomic-append threshold, so lines never interleave.
 
-Schema history:
-
-* **v1** — the buffered :class:`repro.runtime.telemetry.Telemetry`
-  format: flat ``span`` records keyed by ``task``, no ids, written once
-  at run end.
-* **v2** — spans carry ``trace_id`` / ``span_id`` / ``parent_id`` and a
-  free-form ``name`` (task summary spans keep their v1 ``task`` field
-  so v1 tooling still works), records stream as they close.
-
-:func:`read_trace` loads both: v1 records are normalized (missing ids
-become ``None``, ``name`` is synthesized from ``task``), torn tail
-lines are tolerated and reported via :attr:`Trace.truncated`.
+:func:`read_trace` tolerates torn tail lines and a damaged header and
+reports both via :attr:`Trace.truncated`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 from repro.obs import clock
-from repro.util.atomicio import atomic_write_text
+from repro.util import jsonl
 
 __all__ = [
     "TRACE_NAME",
@@ -42,11 +34,9 @@ __all__ = [
     "Trace",
     "TraceWriter",
     "read_trace",
-    "write_trace",
 ]
 
-#: Current trace schema.  v1 = buffered flat telemetry; v2 = streamed
-#: hierarchical spans.
+#: Current trace schema: streamed hierarchical spans.
 TRACE_SCHEMA_VERSION = 2
 
 #: File name of the streamed trace inside a run directory.
@@ -69,6 +59,9 @@ class TraceWriter:
         if parent:
             os.makedirs(parent, exist_ok=True)
         if write_header:
+            # Only the heading writer repairs: it opens the file before
+            # any worker appends, so no in-flight append looks torn.
+            jsonl.repair_torn_tail(self.path)
             self.emit(
                 {
                     "type": "header",
@@ -86,11 +79,7 @@ class TraceWriter:
         (tens of spans per task) makes the syscall cost irrelevant next
         to any experiment.
         """
-        line = json.dumps(record, sort_keys=True, default=str)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        jsonl.append(self.path, jsonl.encode(record))
 
 
 @dataclass
@@ -100,7 +89,7 @@ class Trace:
     schema: int = 0
     trace_id: Optional[str] = None
     records: List[Dict[str, Any]] = field(default_factory=list)
-    truncated: bool = False  #: a torn (undecodable) tail line was skipped
+    truncated: bool = False  #: a torn or damaged line was skipped
 
     @property
     def spans(self) -> List[Dict[str, Any]]:
@@ -125,69 +114,25 @@ class Trace:
         return out
 
 
-def _normalize_span(rec: Dict[str, Any]) -> Dict[str, Any]:
-    """Give a v1 span the v2 shape: ids default to None, name from task."""
-    if "name" not in rec:
-        task = rec.get("task")
-        rec["name"] = f"task:{task}" if isinstance(task, str) else "span"
-    for key in ("trace_id", "span_id", "parent_id"):
-        rec.setdefault(key, None)
-    return rec
-
-
 def read_trace(path: Union[str, os.PathLike]) -> Trace:
-    """Load a v1 or v2 trace file; tolerant of a torn final line.
+    """Load a trace file; tolerant of a torn final line.
 
     Raises ``FileNotFoundError`` when *path* does not exist; any other
-    damage (torn tail, missing header) degrades gracefully — observability
+    damage (torn tail, mid-file garbage, a header whose ``schema`` is
+    not an integer, no header at all) degrades gracefully and sets
+    :attr:`Trace.truncated` where a record was lost — observability
     must never be the thing that refuses to observe a crashed run.
     """
-    trace = Trace()
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
+    records, damaged = jsonl.read(path)
+    trace = Trace(truncated=damaged)
+    for rec in records:
+        if rec.get("type") != "header":
+            trace.records.append(rec)
             continue
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            # Only the final line can legitimately tear; mid-file garbage
-            # is still skipped (never raise) but flagged the same way.
+        schema = rec.get("schema")
+        if type(schema) is int:
+            trace.schema = schema
+        else:
             trace.truncated = True
-            continue
-        if not isinstance(rec, dict):
-            trace.truncated = True
-            continue
-        if rec.get("type") == "header":
-            trace.schema = int(rec.get("schema") or 0)
-            trace.trace_id = rec.get("trace_id")
-            continue
-        if rec.get("type") == "span":
-            rec = _normalize_span(rec)
-        trace.records.append(rec)
-    if trace.schema == 0 and trace.records:
-        trace.schema = 1  # headerless v1 fragment
+        trace.trace_id = rec.get("trace_id")
     return trace
-
-
-def write_trace(
-    path: Union[str, os.PathLike],
-    records: List[Dict[str, Any]],
-    *,
-    trace_id: Optional[str] = None,
-) -> None:
-    """Write a complete trace file in one atomic replace (v2 header).
-
-    The buffered counterpart of :class:`TraceWriter`, used by the
-    :class:`~repro.runtime.telemetry.Telemetry` shim's ``write`` — the
-    file appears fully formed or not at all.
-    """
-    header = {
-        "type": "header",
-        "schema": TRACE_SCHEMA_VERSION,
-        "trace_id": trace_id or clock.new_id(),
-        "ts": round(clock.now(), 6),
-    }
-    lines = [json.dumps(rec, sort_keys=True, default=str) for rec in [header, *records]]
-    atomic_write_text(os.fspath(path), "\n".join(lines) + "\n")

@@ -1,4 +1,4 @@
-"""Experiment runtime: parallel DAG executor, result cache, telemetry.
+"""Experiment runtime: parallel DAG executor, result cache, run journal.
 
 The runtime layer is what lets ``python -m repro.experiments`` scale
 past a serial for-loop while staying byte-for-byte reproducible:
@@ -11,9 +11,6 @@ past a serial for-loop while staying byte-for-byte reproducible:
   content-addressed result cache keyed on ``(experiment id, kwargs,
   code fingerprint)``, checksummed on read, with advisory per-key locks
   so concurrent runs compute each key exactly once;
-* :mod:`repro.runtime.telemetry` — the flat per-task summary shim over
-  the :mod:`repro.obs` streaming trace layer (hierarchical spans,
-  metrics registry, profiling — see docs/OBSERVABILITY.md);
 * :mod:`repro.runtime.schedule` — journal-driven longest-first (LPT)
   submission order for cache misses, with an exact input-order
   fallback when no history exists;
@@ -21,6 +18,10 @@ past a serial for-loop while staying byte-for-byte reproducible:
   (``--chaos``) for exercising the failure paths on purpose;
 * :mod:`repro.runtime.journal` — the append-only crash journal that
   backs ``--resume``.
+
+Tracing, metrics and profiling live in :mod:`repro.obs` (see
+docs/OBSERVABILITY.md); the executor reports retries, timeouts and
+pool rebuilds as ambient :func:`repro.obs.event` records.
 
 The layer is deliberately generic: it knows nothing about Co-plots or
 workload models, only picklable callables — see docs/RUNTIME.md and
@@ -34,7 +35,6 @@ from repro.runtime.fingerprint import code_fingerprint, tree_fingerprint
 from repro.runtime.journal import JOURNAL_NAME, RunJournal
 from repro.runtime.schedule import historical_wall_times, longest_first
 from repro.runtime.task import TaskResult, TaskSpec, TaskStatus, toposort
-from repro.runtime.telemetry import Telemetry, summarize
 
 __all__ = [
     "CacheKeyError",
@@ -48,14 +48,12 @@ __all__ = [
     "TaskResult",
     "TaskSpec",
     "TaskStatus",
-    "Telemetry",
     "cache_key",
     "canonical_json",
     "code_fingerprint",
     "historical_wall_times",
     "longest_first",
     "parse_chaos_spec",
-    "summarize",
     "toposort",
     "tree_fingerprint",
 ]

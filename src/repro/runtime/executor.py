@@ -20,8 +20,8 @@ Failure semantics (both modes):
   and its value is discarded;
 * a worker process that *dies* (segfault, ``os._exit``, OOM kill)
   breaks the pool: the attempts lost with it are charged a retry, the
-  pool is rebuilt (a ``pool_rebuild`` telemetry event records why) and
-  the batch continues.
+  pool is rebuilt (a ``pool_rebuild`` event records why) and the batch
+  continues.
 
 Failed attempts report the wall time measured *inside* the worker, not
 time-in-queue — an attempt that raised after 0.2s on a saturated pool
@@ -30,11 +30,15 @@ is billed 0.2s, no matter how long it waited for a worker slot.
 Chaos hooks: pass ``fault_plan`` (a
 :class:`~repro.runtime.faults.FaultPlan`) and the executor consults it
 once per (task, attempt) at submission time, wrapping the task function
-with the armed fault and emitting a ``fault_injected`` telemetry event.
+with the armed fault and emitting a ``fault_injected`` event.
 Decisions are a pure function of the plan seed, so serial and pool runs
 inject identically.  Pass ``on_result`` to observe every terminal
 :class:`TaskResult` (including skips) the moment it is recorded — the
 runner's crash-safe journal hangs off this hook.
+
+Events (``retry``, ``timeout``, ``pool_rebuild``, ``fault_injected``)
+go to the ambient tracer (:func:`repro.obs.event`, a no-op when none is
+installed) and, with ``metrics`` attached, bump the matching counters.
 
 The executor never raises on task failure; inspect the returned
 ``TaskResult`` map instead.
@@ -50,9 +54,9 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import event
 from repro.runtime.faults import FaultPlan
 from repro.runtime.task import TaskResult, TaskSpec, TaskStatus, toposort
-from repro.runtime.telemetry import Telemetry
 
 __all__ = ["DagExecutor"]
 
@@ -108,7 +112,6 @@ class DagExecutor:
         self,
         jobs: int = 1,
         *,
-        telemetry: Optional[Telemetry] = None,
         backoff_base_s: float = 0.25,
         backoff_cap_s: float = 8.0,
         sleep: Callable[[float], None] = time.sleep,
@@ -119,7 +122,6 @@ class DagExecutor:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self.telemetry = telemetry
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self._sleep = sleep
@@ -158,8 +160,7 @@ class DagExecutor:
     }
 
     def _event(self, kind: str, **fields: Any) -> None:
-        if self.telemetry is not None:
-            self.telemetry.event(kind, **fields)
+        event(kind, **fields)
         if self.metrics is not None and kind in self._EVENT_COUNTERS:
             self.metrics.inc(self._EVENT_COUNTERS[kind])
 

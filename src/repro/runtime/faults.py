@@ -8,31 +8,38 @@ injects the same faults into the same attempts — chaos runs are
 replayable, and a failure found under ``--chaos 7`` reproduces under
 ``--chaos 7``.
 
-Fault kinds and what they exercise:
+Fault kinds and what they exercise — in :class:`DagExecutor
+<repro.runtime.executor.DagExecutor>` and in the service's job
+supervisor (:class:`repro.service.jobs.JobRunner`, ``--chaos``), which
+arms the same plan per job attempt against ``<kind>:<key-prefix>``:
+the cache key, never the random job id, so a failure found under
+``--chaos 7`` reproduces across restarts too.
 
 ``raise``
     The attempt raises :class:`InjectedFault` before the real function
-    runs — exercises the executor's retry/backoff/graceful-degradation
-    path exactly like an experiment bug would.
+    runs — the retry/backoff path, exactly like an experiment bug.
 ``hang``
-    The attempt sleeps ``hang_s`` seconds before running the real
-    function — exercises the timeout machinery: worker kill + pool
-    rebuild in process mode, post-hoc detection in inline mode.
+    The attempt sleeps ``hang_s`` seconds first — the timeout path:
+    worker kill + pool rebuild in process mode, post-hoc detection in
+    inline mode, the SIGKILL deadline (504) in the service.
 ``corrupt``
-    The attempt "succeeds" but returns deterministic garbage instead of
-    running the real function — models silent output corruption; the
-    caller's payload validation (not the executor) must catch it.
+    The attempt "succeeds" with deterministic garbage instead of
+    running — silent corruption the caller's payload validation must
+    catch.  In the service it lands supervisor-side instead:
+    :func:`tear_journal` appends a torn line to the jobs journal before
+    the (clean) attempt, and writers and replay must shrug it off.
 ``exit``
     The attempt calls ``os._exit(exit_code)``.  In process-pool mode
     this kills the worker (the executor absorbs the resulting
-    ``BrokenProcessPool`` and rebuilds); in inline mode it kills the
-    *whole run*, which is precisely the crash that ``--resume``
-    recovers from.  Never inject ``exit`` into an in-process test run
-    unless that run is a subprocess.
+    ``BrokenProcessPool`` and rebuilds; the service charges the spec's
+    poison counter); in inline mode it kills the *whole run*, which is
+    precisely the crash that ``--resume`` recovers from.  Never inject
+    ``exit`` into an in-process test run unless that run is a
+    subprocess.
 
 The module also ships filesystem chaos helpers (:func:`truncate_file`,
-:func:`corrupt_file`, :func:`vanish_file`) used by the chaos suite to
-damage cache entries between write and read.
+:func:`corrupt_file`, :func:`vanish_file`, :func:`tear_journal`) that
+damage cache entries and logs between write and read.
 """
 
 from __future__ import annotations
@@ -44,6 +51,8 @@ from dataclasses import dataclass
 from fnmatch import fnmatch
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.util import jsonl
+
 __all__ = [
     "FAULT_KINDS",
     "ArmedFault",
@@ -53,6 +62,7 @@ __all__ = [
     "apply_armed_fault",
     "corrupt_file",
     "parse_chaos_spec",
+    "tear_journal",
     "truncate_file",
     "vanish_file",
 ]
@@ -307,3 +317,13 @@ def vanish_file(path: os.PathLike) -> None:
         os.unlink(path)
     except FileNotFoundError:
         pass
+
+
+def tear_journal(path: os.PathLike, token: str) -> None:
+    """Append a torn (newline-less) junk line to *path* — a mid-append crash.
+
+    The fragment is deliberately undecodable JSON; replay must skip it
+    and the next writer must repair the missing newline before its own
+    append (see :func:`repro.util.jsonl.repair_torn_tail`).
+    """
+    jsonl.append(path, '{"type": "job", "id": "%s", "sta' % token)

@@ -7,51 +7,26 @@ task finishes* — so a run killed at any instant leaves a journal that
 names exactly what completed.  ``--resume <run-dir>`` reloads it and
 re-executes only tasks not recorded ``ok``.
 
-Records are single JSON lines flushed and fsynced on write; a crash can
-tear at most the final line, and :meth:`RunJournal.load` skips any line
-that does not decode rather than failing the resume.  Appends never
-rewrite earlier records, so the journal doubles as a run audit trail —
-later records for the same task supersede earlier ones (a retry after
-``--resume``, for example).
+Records go through :mod:`repro.util.jsonl` (one fsync'd line each): a
+crash can tear at most the final line, and :meth:`RunJournal.load`
+skips any line that does not decode rather than failing the resume.
+Appends never rewrite earlier records, so the journal doubles as a run
+audit trail — later records for the same task supersede earlier ones
+(a retry after ``--resume``, for example).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
-__all__ = ["JOURNAL_NAME", "RunJournal", "repair_torn_tail"]
+from repro.util import jsonl
+
+__all__ = ["JOURNAL_NAME", "RunJournal"]
 
 #: File name of the journal inside a run directory.
 JOURNAL_NAME = "journal.jsonl"
-
-
-def repair_torn_tail(path: Union[str, os.PathLike]) -> bool:
-    """Terminate a torn final line so future appends stay on fresh lines.
-
-    A crash mid-append can leave the journal without a trailing newline.
-    Readers already skip the undecodable fragment — but a *writer* that
-    appends after such a tear would glue its record onto the fragment,
-    losing a line that its fsync'd flush reported durable.  Called by
-    every journal writer before its first append; returns whether a
-    repair was needed.
-    """
-    try:
-        with open(path, "rb+") as fh:
-            fh.seek(0, os.SEEK_END)
-            if fh.tell() == 0:
-                return False
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) == b"\n":
-                return False
-            fh.write(b"\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-            return True
-    except OSError:  # no journal yet: nothing to repair
-        return False
 
 
 class RunJournal:
@@ -60,21 +35,11 @@ class RunJournal:
     def __init__(self, path: Union[str, os.PathLike]) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        repair_torn_tail(self.path)
-
-    def _append(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True)
-        # Append mode: single short lines, flushed and fsynced, so a
-        # SIGKILL between tasks never loses a completed record and can
-        # tear at most the line being written.
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        jsonl.repair_torn_tail(self.path)
 
     def meta(self, **fields: Any) -> None:
         """Record run-level metadata (seed, quick, ids) for ``--resume``."""
-        self._append({"type": "meta", **fields})
+        jsonl.append(self.path, jsonl.encode({"type": "meta", **fields}))
 
     def record(
         self,
@@ -84,18 +49,26 @@ class RunJournal:
         key: Optional[str] = None,
         attempts: int = 0,
         wall_s: float = 0.0,
+        compute_s: Optional[float] = None,
     ) -> None:
-        """Record one terminal task outcome."""
-        self._append(
-            {
-                "type": "task",
-                "task": task,
-                "status": status,
-                "key": key,
-                "attempts": attempts,
-                "wall_s": round(wall_s, 6),
-            }
-        )
+        """Record one terminal task outcome.
+
+        *compute_s* is the payload's original compute time; a cache hit
+        passes it so the record still says how long the task takes
+        (its own ``wall_s`` is 0), which keeps longest-first
+        scheduling informed after a warm run.
+        """
+        record = {
+            "type": "task",
+            "task": task,
+            "status": status,
+            "key": key,
+            "attempts": attempts,
+            "wall_s": round(wall_s, 6),
+        }
+        if isinstance(compute_s, (int, float)):
+            record["compute_s"] = round(compute_s, 6)
+        jsonl.append(self.path, jsonl.encode(record))
 
     @staticmethod
     def load(path: Union[str, os.PathLike]) -> Tuple[Dict[str, Any], Dict[str, Dict[str, Any]]]:
@@ -107,20 +80,10 @@ class RunJournal:
         meta: Dict[str, Any] = {}
         entries: Dict[str, Dict[str, Any]] = {}
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+            records, _damaged = jsonl.read(path)
         except OSError:
             return meta, entries
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn tail line from a crash mid-append
-            if not isinstance(record, dict):
-                continue
+        for record in records:
             if record.get("type") == "meta":
                 meta.update({k: v for k, v in record.items() if k != "type"})
             elif record.get("type") == "task" and isinstance(record.get("task"), str):

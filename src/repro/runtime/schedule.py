@@ -29,8 +29,11 @@ def historical_wall_times(run_dir: Union[str, os.PathLike]) -> Dict[str, float]:
     """Per-task wall seconds from *run_dir*'s journal (``{}`` if none).
 
     Only ``ok`` records count: a failed attempt's wall time measures the
-    failure, not the task.  Symlinked run dirs (``latest``) resolve like
-    any other path; a missing or torn journal yields what it can.
+    failure, not the task.  A cache hit journals ``wall_s`` 0, so its
+    record's ``compute_s`` (the payload's original compute time) stands
+    in — a warm run keeps the history of the cold run before it.
+    Symlinked run dirs (``latest``) resolve like any other path; a
+    missing or torn journal yields what it can.
     """
     _meta, entries = RunJournal.load(os.path.join(os.fspath(run_dir), JOURNAL_NAME))
     history: Dict[str, float] = {}
@@ -38,7 +41,7 @@ def historical_wall_times(run_dir: Union[str, os.PathLike]) -> Dict[str, float]:
         if entry.get("status") != "ok":
             continue
         try:
-            wall = float(entry.get("wall_s") or 0.0)
+            wall = float(entry.get("wall_s") or entry.get("compute_s") or 0.0)
         except (TypeError, ValueError):
             continue
         if wall > 0.0:

@@ -44,9 +44,9 @@ from urllib.parse import parse_qs, urlsplit
 from repro.obs import MetricsRegistry, Tracer, TraceWriter
 from repro.obs import clock as obs_clock
 from repro.runtime.cache import ResultCache
+from repro.runtime.faults import parse_chaos_spec
 from repro.runtime.fingerprint import code_fingerprint
 from repro.service.analyses import parse_analysis_request, spec_cache_key
-from repro.service.chaos import ServiceChaos
 from repro.service.errors import ServiceError
 from repro.service.jobs import JobRunner
 from repro.service.store import JobStore
@@ -134,7 +134,7 @@ class ServiceApp:
             job_timeout_s=job_timeout_s,
             job_retries=job_retries,
             poison_threshold=poison_threshold,
-            chaos=ServiceChaos.from_spec(chaos) if chaos else None,
+            fault_plan=parse_chaos_spec(chaos) if chaos else None,
             before_execute=before_execute,
         )
         self.recovered_jobs, self.poisoned_on_boot = self.runner.recover()

@@ -46,7 +46,7 @@ import time
 import urllib.parse
 from typing import Any, Dict, List, Optional
 
-from repro.service.chaos import tear_journal
+from repro.runtime.faults import tear_journal
 from repro.service.smoke import _metric, _poll_done, _request
 from repro.service.store import JOBS_JOURNAL_NAME
 from repro.archive.synthesize import synthesize_workload

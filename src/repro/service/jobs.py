@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.obs import MetricsRegistry, Tracer, TraceWriter, event, reset_tracer, set_tracer, span
 from repro.obs import clock as obs_clock
 from repro.runtime.cache import ResultCache
-from repro.service.chaos import ServiceChaos, tear_journal
+from repro.runtime.faults import FaultPlan, tear_journal
 from repro.service.errors import ServiceError
 from repro.service.store import TERMINAL_STATES, JobStore
 from repro.service.worker import job_worker_main
@@ -108,7 +108,7 @@ class JobRunner:
         backoff_base_s: float = 0.25,
         backoff_cap_s: float = 8.0,
         retry_after_s: float = 1.0,
-        chaos: Optional[ServiceChaos] = None,
+        fault_plan: Optional[FaultPlan] = None,
         before_execute: Optional[Callable[[str], None]] = None,
     ) -> None:
         if workers < 1:
@@ -133,7 +133,7 @@ class JobRunner:
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.retry_after_s = retry_after_s
-        self.chaos = chaos
+        self.fault_plan = fault_plan
         #: Test/diagnostic seam: runs in the supervisor before a job starts.
         self.before_execute = before_execute
         self.cache = ResultCache(cache_dir, fingerprint=fingerprint)
@@ -403,7 +403,12 @@ class JobRunner:
             if control.cancel.is_set():
                 self._finish_cancelled(job_id, t0, attempt)
                 return
-            fault = self.chaos.arm(record, attempt) if self.chaos is not None else None
+            fault = None
+            if self.fault_plan is not None:
+                # Hash the restart-stable kind and cache key, never the
+                # random job id (see repro.runtime.faults).
+                task_id = f"{record.get('kind')}:{str(record.get('key'))[:12]}"
+                fault = self.fault_plan.arm(task_id, attempt)
             if fault is not None and fault.kind == "corrupt":
                 # Journal chaos is supervisor-side: tear the jobs journal
                 # (a mid-append crash) and run the attempt itself clean.

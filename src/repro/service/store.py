@@ -1,8 +1,8 @@
 """Journal-backed job store: the service's durable state.
 
 Every job state transition is one fsync'd JSON line appended to
-``<state-dir>/jobs.jsonl`` — the same crash-semantics as the runtime's
-run journal (:mod:`repro.runtime.journal`): a SIGKILL can tear at most
+``<state-dir>/jobs.jsonl`` through :mod:`repro.util.jsonl`, the same
+log module as the runtime's run journal: a SIGKILL can tear at most
 the line being written, later records for a job supersede earlier ones,
 and a restarted server replays the file to recover exactly what every
 job was doing.  Results themselves are *not* stored here: a finished
@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import gzip
 import hashlib
-import json
 import os
 import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.runtime.journal import repair_torn_tail
+from repro.util import jsonl
 from repro.util.atomicio import atomic_write_bytes
 
 __all__ = [
@@ -84,27 +83,17 @@ class JobStore:
         # A crash mid-append may have left a torn, newline-less tail;
         # terminate it before this process appends anything, or the
         # first new record would glue onto the fragment and be lost.
-        repair_torn_tail(self.path)
+        jsonl.repair_torn_tail(self.path)
         self._load()
 
     # -- journal replay ------------------------------------------------------
 
     def _load(self) -> None:
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+            records, _damaged = jsonl.read(self.path)
         except OSError:
             return
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:  # torn tail from a crash mid-append
-                continue
-            if not isinstance(record, dict):
-                continue
+        for record in records:
             if record.get("type") == "poison":
                 key, count = record.get("key"), record.get("count")
                 if isinstance(key, str) and isinstance(count, int):
@@ -124,7 +113,7 @@ class JobStore:
 
     def _queue(self, record: Dict[str, Any]) -> None:
         """Queue *record*'s journal line; caller must hold ``_lock``."""
-        self._pending.append(json.dumps({"type": "job", **record}, sort_keys=True) + "\n")
+        self._pending.append(jsonl.encode({"type": "job", **record}))
 
     def flush(self) -> None:
         """Drain queued journal lines to disk (append + fsync).
@@ -135,12 +124,8 @@ class JobStore:
         with self._io_lock:
             with self._lock:
                 lines, self._pending = self._pending, []
-            if not lines:
-                return
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write("".join(lines))
-                fh.flush()
-                os.fsync(fh.fileno())
+            if lines:
+                jsonl.append(self.path, "".join(lines))
 
     def create_deferred(self, job_id: str, **fields: Any) -> Dict[str, Any]:
         """Register a new ``queued`` job and queue its journal line.
@@ -194,10 +179,7 @@ class JobStore:
         with self._lock:
             count = self._poison.get(key, 0) + 1
             self._poison[key] = count
-            self._pending.append(
-                json.dumps({"type": "poison", "key": key, "count": count}, sort_keys=True)
-                + "\n"
-            )
+            self._pending.append(jsonl.encode({"type": "poison", "key": key, "count": count}))
         self.flush()
         return count
 
@@ -205,9 +187,7 @@ class JobStore:
         """Reset *key*'s crash counter to zero (the ``retry`` pardon)."""
         with self._lock:
             self._poison[key] = 0
-            self._pending.append(
-                json.dumps({"type": "poison", "key": key, "count": 0}, sort_keys=True) + "\n"
-            )
+            self._pending.append(jsonl.encode({"type": "poison", "key": key, "count": 0}))
         self.flush()
 
     def poison_count(self, key: str) -> int:

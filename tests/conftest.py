@@ -60,3 +60,19 @@ def synthesized_ctc():
     from repro.archive import synthesize_workload
 
     return synthesize_workload("CTC", n_jobs=6000, seed=11)
+
+
+@pytest.fixture
+def trace_records():
+    """Every record the ambient tracer receives during the test.
+
+    Installs a :class:`~repro.obs.Tracer` over an in-memory sink, so
+    code that reports through :func:`repro.obs.event` (the executor's
+    retry/timeout/pool-rebuild/fault events) can be inspected.
+    """
+    from repro.obs import ListSink, Tracer, reset_tracer, set_tracer
+
+    sink = ListSink()
+    token = set_tracer(Tracer(sink))
+    yield sink.records
+    reset_tracer(token)

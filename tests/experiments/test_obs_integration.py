@@ -60,9 +60,7 @@ class TestTraceStreaming:
         assert trace.schema == 2
         assert not trace.truncated
 
-        # The flat Telemetry summary span shares the task:<id> name with
-        # the worker's hierarchical span; keep only spans that carry ids.
-        by_name = {s["name"]: s for s in trace.spans if s.get("span_id")}
+        by_name = {s["name"]: s for s in trace.spans}
         # The run span is the root; the worker's task span hangs off it.
         root = by_name["run"]
         assert root["parent_id"] is None
@@ -70,6 +68,11 @@ class TestTraceStreaming:
         task = by_name["task:figure2"]
         assert task["parent_id"] == root["span_id"]
         assert task["trace_id"] == root["trace_id"]
+        # The runner's per-task summary is a root span of its own.
+        summary = by_name["task.summary"]
+        assert summary["task"] == "figure2" and summary["parent_id"] is None
+        assert summary["span_id"] not in (task["span_id"], root["span_id"])
+        assert trace.task_spans["figure2"] is summary
         # Cache phases and in-experiment phases nest under the task span.
         assert by_name["cache.compute"]["parent_id"] == task["span_id"]
         fit = by_name["figure2.fit"]

@@ -64,39 +64,50 @@ class TestDeterminism:
         assert "cached" not in capsys.readouterr().out
 
 
+def _run_trace(out_dir):
+    """The records of the latest run's streamed ``trace.jsonl``."""
+    path = os.path.join(out_dir, "latest", "trace.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def _summaries(records):
+    return [r for r in records if r["type"] == "span" and r["name"] == "task.summary"]
+
+
 class TestTrace:
     def test_trace_emits_one_span_per_task(self, tmp_path, capsys):
-        trace = tmp_path / "trace.jsonl"
+        out = str(tmp_path / "out")
         cache = str(tmp_path / "cache")
-        assert main([*_FAST, "--quick", "--trace", str(trace), "--cache-dir", cache]) == EXIT_OK
-        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert main([*_FAST, "--quick", "--out", out, "--cache-dir", cache]) == EXIT_OK
+        records = _run_trace(out)
         assert records[0]["type"] == "header"
-        spans = [r for r in records if r["type"] == "span"]
+        spans = _summaries(records)
         assert sorted(s["task"] for s in spans) == sorted(_FAST)
         for span in spans:
             assert span["status"] == "ok"
             assert span["cache_hit"] is False
             assert span["retries"] == 0
             assert span["wall_s"] > 0
+            # v2 shape: own ids, root placement beside the run span.
+            assert span["span_id"] and span["trace_id"] == records[0]["trace_id"]
+            assert span["parent_id"] is None
 
     def test_trace_marks_cache_hits(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
         cache = str(tmp_path / "cache")
         assert main(["figure2", "--cache-dir", cache]) == EXIT_OK
-        trace = tmp_path / "trace.jsonl"
-        assert main(["figure2", "--cache-dir", cache, "--trace", str(trace)]) == EXIT_OK
-        spans = [
-            json.loads(line)
-            for line in trace.read_text().splitlines()
-            if json.loads(line)["type"] == "span"
-        ]
-        assert spans[0]["cache_hit"] is True
-        metrics = {
-            r["name"]: r["value"]
-            for r in map(json.loads, trace.read_text().splitlines())
-            if r["type"] == "metric"
-        }
+        assert main(["figure2", "--cache-dir", cache, "--out", out]) == EXIT_OK
+        records = _run_trace(out)
+        assert _summaries(records)[0]["cache_hit"] is True
+        metrics = {r["name"]: r["value"] for r in records if r["type"] == "metric"}
         assert metrics["cache_hits"] == 1
         assert metrics["cache_misses"] == 0
+
+    def test_trace_flag_is_gone(self, tmp_path, capsys):
+        # The run dir's trace.jsonl streams everything the flat file held.
+        with pytest.raises(SystemExit):
+            main(["figure2", "--cache-dir", str(tmp_path / "c"), "--trace", str(tmp_path / "t")])
 
 
 def _boom_experiment(**kwargs):
@@ -156,14 +167,10 @@ class TestExitCodes:
         assert code == EXIT_TASK_FAILURE
 
     def test_failed_experiment_span_recorded(self, synthetic, tmp_path, capsys):
-        trace = tmp_path / "trace.jsonl"
+        out = str(tmp_path / "out")
         cache = str(tmp_path / "cache")
-        assert main(["boomx", "--cache-dir", cache, "--trace", str(trace)]) == EXIT_TASK_FAILURE
-        spans = [
-            r
-            for r in map(json.loads, trace.read_text().splitlines())
-            if r["type"] == "span"
-        ]
+        assert main(["boomx", "--cache-dir", cache, "--out", out]) == EXIT_TASK_FAILURE
+        spans = _summaries(_run_trace(out))
         assert spans[0]["task"] == "boomx"
         assert spans[0]["status"] == "failed"
         assert spans[0]["cache_hit"] is False

@@ -98,17 +98,17 @@ class TestConfigApplied:
     def test_builtin_clock_exemption(self, tmp_path):
         # The default per-rule excludes sanction wall-clock reads in
         # repro/obs/clock.py (the single sanctioned entropy module);
-        # everything else — including the telemetry shim — must route
+        # everything else — including the runtime executor — must route
         # through it and gets flagged.
         obs = tmp_path / "repro" / "obs"
         obs.mkdir(parents=True)
         runtime = tmp_path / "repro" / "runtime"
         runtime.mkdir(parents=True)
         (obs / "clock.py").write_text(VIOLATION, encoding="utf-8")
-        (runtime / "telemetry.py").write_text(VIOLATION, encoding="utf-8")
+        (runtime / "executor.py").write_text(VIOLATION, encoding="utf-8")
         findings, _ = lint_paths([tmp_path], config=LintConfig(root=tmp_path))
         assert [f.code for f in findings] == ["REP003"]
-        assert findings[0].path.endswith("telemetry.py")
+        assert findings[0].path.endswith("executor.py")
 
     def test_disabled_rule_not_run(self, tmp_path):
         (tmp_path / "bad.py").write_text(VIOLATION, encoding="utf-8")

@@ -19,7 +19,6 @@ from repro.runtime import (
     ResultCache,
     TaskSpec,
     TaskStatus,
-    Telemetry,
     parse_chaos_spec,
 )
 from repro.runtime.faults import corrupt_file, truncate_file, vanish_file
@@ -29,14 +28,8 @@ def add(a, b):
     return a + b
 
 
-def _executor(jobs=1, *, plan=None, telemetry=None):
-    return DagExecutor(
-        jobs=jobs,
-        backoff_base_s=0.01,
-        backoff_cap_s=0.05,
-        telemetry=telemetry,
-        fault_plan=plan,
-    )
+def _executor(jobs=1, *, plan=None):
+    return DagExecutor(jobs=jobs, backoff_base_s=0.01, backoff_cap_s=0.05, fault_plan=plan)
 
 
 class TestFaultPlan:
@@ -137,20 +130,19 @@ class TestParseChaosSpec:
 
 
 class TestSerialChaos:
-    def test_raise_fault_recovers_through_retries(self):
-        telemetry = Telemetry()
+    def test_raise_fault_recovers_through_retries(self, trace_records):
         plan = FaultPlan(0, [FaultRule(match="*", kind="raise", p=1.0, max_hits=2)])
-        results = _executor(plan=plan, telemetry=telemetry).run(
+        results = _executor(plan=plan).run(
             [TaskSpec(id="t", fn=add, kwargs={"a": 1, "b": 2}, retries=2)]
         )
         assert results["t"].ok
         assert results["t"].value == 3
         assert results["t"].attempts == 3
         assert results["t"].faults == 2
-        kinds = [r["kind"] for r in telemetry.records if r["type"] == "event"]
+        kinds = [r["kind"] for r in trace_records if r["type"] == "event"]
         assert kinds.count("fault_injected") == 2
         assert kinds.count("retry") == 2
-        retries = [r for r in telemetry.records if r.get("kind") == "retry"]
+        retries = [r for r in trace_records if r.get("kind") == "retry"]
         assert all("InjectedFault" in r["error"] for r in retries)
 
     def test_raise_without_retries_fails_and_skips_dependents(self):
@@ -195,11 +187,11 @@ class TestSerialChaos:
         assert results["t"].ok
         assert results["t"].value == {"__chaos_corrupt__": "chaos:4:0:t:1"}
 
-    def test_same_seed_reproduces_the_exact_event_sequence(self):
+    def test_same_seed_reproduces_the_exact_event_sequence(self, trace_records):
         def run_once():
-            telemetry = Telemetry(clock=lambda: 0.0)
+            trace_records.clear()
             plan = FaultPlan(11, [FaultRule(match="*", kind="raise", p=0.6)])
-            _executor(plan=plan, telemetry=telemetry).run(
+            _executor(plan=plan).run(
                 [
                     TaskSpec(id=f"t{i}", fn=add, kwargs={"a": i, "b": i}, retries=3)
                     for i in range(4)
@@ -207,7 +199,7 @@ class TestSerialChaos:
             )
             return [
                 (r["task"], r["attempt"], r["fault"])
-                for r in telemetry.records
+                for r in trace_records
                 if r.get("kind") == "fault_injected"
             ]
 
@@ -227,14 +219,13 @@ class TestPoolChaos:
             assert results[f"t{i}"].value == 2 * i
             assert results[f"t{i}"].attempts == 2
 
-    def test_exit_fault_breaks_pool_and_batch_still_completes(self):
-        telemetry = Telemetry()
+    def test_exit_fault_breaks_pool_and_batch_still_completes(self, trace_records):
         plan = FaultPlan(
             0, [FaultRule(match="die", kind="exit", p=1.0, max_hits=1, exit_code=70)]
         )
         # Bystanders get a retry budget too: an attempt in flight when a
         # sibling kills the worker pool dies with it and is charged.
-        results = _executor(jobs=2, plan=plan, telemetry=telemetry).run(
+        results = _executor(jobs=2, plan=plan).run(
             [
                 TaskSpec(id="die", fn=add, kwargs={"a": 1, "b": 1}, retries=1),
                 TaskSpec(id="ok1", fn=add, kwargs={"a": 2, "b": 2}, retries=1),
@@ -245,7 +236,7 @@ class TestPoolChaos:
         assert results["die"].attempts == 2
         assert results["ok1"].value == 4
         assert results["ok2"].value == 6
-        rebuilds = [r for r in telemetry.records if r.get("kind") == "pool_rebuild"]
+        rebuilds = [r for r in trace_records if r.get("kind") == "pool_rebuild"]
         assert rebuilds and rebuilds[0]["reason"] == "broken"
 
     def test_exit_fault_without_retries_reports_failure(self):
@@ -272,19 +263,19 @@ class TestPoolChaos:
         assert results["t"].value == 3
         assert time.monotonic() - start < 20.0, "hung worker was not killed"
 
-    def test_pool_and_serial_inject_identical_decisions(self):
+    def test_pool_and_serial_inject_identical_decisions(self, trace_records):
         tasks = lambda: [  # noqa: E731
             TaskSpec(id=f"t{i}", fn=add, kwargs={"a": i, "b": i}, retries=2)
             for i in range(4)
         ]
 
         def injected(jobs):
-            telemetry = Telemetry()
+            trace_records.clear()
             plan = FaultPlan(11, [FaultRule(match="*", kind="raise", p=0.6)])
-            _executor(jobs=jobs, plan=plan, telemetry=telemetry).run(tasks())
+            _executor(jobs=jobs, plan=plan).run(tasks())
             return {
                 (r["task"], r["attempt"], r["fault"])
-                for r in telemetry.records
+                for r in trace_records
                 if r.get("kind") == "fault_injected"
             }
 

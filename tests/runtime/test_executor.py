@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.runtime import DagExecutor, TaskSpec, TaskStatus, Telemetry, toposort
+from repro.runtime import DagExecutor, TaskSpec, TaskStatus, toposort
 
 
 def add(a, b):
@@ -126,16 +126,15 @@ class TestSerialMode:
         assert results["flaky"].value == "recovered"
         assert results["flaky"].attempts == 3
 
-    def test_retries_exhausted_reports_failure(self, tmp_path):
+    def test_retries_exhausted_reports_failure(self, tmp_path, trace_records):
         counter = str(tmp_path / "count")
-        telemetry = Telemetry()
-        executor = DagExecutor(jobs=1, backoff_base_s=0.01, telemetry=telemetry)
+        executor = DagExecutor(jobs=1, backoff_base_s=0.01)
         results = executor.run(
             [TaskSpec(id="flaky", fn=flaky, kwargs={"counter_path": counter, "fail_times": 5}, retries=1)]
         )
         assert results["flaky"].status is TaskStatus.FAILED
         assert results["flaky"].attempts == 2
-        retry_events = [r for r in telemetry.records if r.get("kind") == "retry"]
+        retry_events = [r for r in trace_records if r.get("kind") == "retry"]
         assert len(retry_events) == 1
 
     def test_inline_timeout_detected_post_hoc(self):

@@ -1,5 +1,8 @@
 """Journal-driven scheduling tests: LPT ordering and its fallback."""
 
+import os
+
+from repro.experiments.runner import EXIT_OK, main
 from repro.runtime import JOURNAL_NAME, RunJournal, historical_wall_times, longest_first
 
 
@@ -62,3 +65,25 @@ class TestHistoricalWallTimes:
             "stability",
             "table1",
         ]
+
+    def test_cache_hit_falls_back_to_compute_s(self, tmp_path):
+        journal = RunJournal(tmp_path / JOURNAL_NAME)
+        journal.record("warm", status="ok", wall_s=0.0, compute_s=4.5)
+        journal.record("bogus", status="ok", wall_s=0.0, compute_s="slow")
+        assert historical_wall_times(tmp_path) == {"warm": 4.5}
+
+    def test_history_survives_a_warm_run(self, tmp_path, capsys):
+        # A warm run serves every task from the parent's cache check and
+        # journals wall_s 0; the next cold run must still order by the
+        # original compute times.
+        ids = ["table1", "figure2"]
+        out = str(tmp_path / "out")
+        argv = [*ids, "--quick", "--out", out, "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == EXIT_OK
+        cold = historical_wall_times(os.path.join(out, "latest"))
+        assert set(cold) == set(ids)
+        assert main(argv) == EXIT_OK
+        assert "cached" in capsys.readouterr().out
+        warm = historical_wall_times(os.path.join(out, "latest"))
+        assert set(warm) == set(ids)
+        assert all(wall > 0.0 for wall in warm.values())

@@ -1,66 +1,39 @@
-"""Telemetry tests: record shapes, JSONL serialization, summaries."""
+"""Run-summary tests: the digest over streamed task-summary spans."""
 
-import json
-
-from repro.runtime import Telemetry, summarize
+from repro.obs import TraceWriter, digest, read_trace
 
 
-def _fixed_clock():
-    return 1000.0
-
-
-class TestRecords:
-    def test_span_record_shape(self):
-        t = Telemetry(clock=_fixed_clock)
-        rec = t.span("figure1", status="ok", wall_s=1.25, cache_hit=False, retries=1, peak_rss_kb=2048)
-        assert rec["type"] == "span"
-        assert rec["task"] == "figure1"
-        assert rec["status"] == "ok"
-        assert rec["wall_s"] == 1.25
-        assert rec["cache_hit"] is False
-        assert rec["retries"] == 1
-        assert rec["peak_rss_kb"] == 2048
-        assert rec["ts"] == 1000.0
-
-    def test_event_and_metric_records(self):
-        t = Telemetry(clock=_fixed_clock)
-        t.event("retry", task="x", attempt=1)
-        t.metric("cache_hits", 3)
-        kinds = [(r["type"], r.get("kind") or r.get("name")) for r in t.records]
-        assert kinds == [("event", "retry"), ("metric", "cache_hits")]
-
-    def test_spans_property_filters(self):
-        t = Telemetry(clock=_fixed_clock)
-        t.event("noise")
-        t.span("a", status="ok", wall_s=0.1, cache_hit=True, retries=0)
-        assert [s["task"] for s in t.spans] == ["a"]
-
-
-class TestWrite:
-    def test_writes_valid_jsonl_with_header(self, tmp_path):
-        t = Telemetry(clock=_fixed_clock)
-        t.span("a", status="ok", wall_s=0.5, cache_hit=True, retries=0)
-        t.metric("cache_hits", 1)
-        path = tmp_path / "trace.jsonl"
-        t.write(str(path))
-        lines = path.read_text(encoding="utf-8").splitlines()
-        records = [json.loads(line) for line in lines]
-        assert records[0]["type"] == "header"
-        assert records[0]["schema"] >= 1
-        assert [r["type"] for r in records[1:]] == ["span", "metric"]
+def _task_summary(writer, task, **fields):
+    # The record shape the runner streams once per task.
+    writer.emit(
+        {
+            "type": "span",
+            "name": "task.summary",
+            "trace_id": writer.trace_id,
+            "span_id": f"s-{task}",
+            "parent_id": None,
+            "task": task,
+            **fields,
+        }
+    )
 
 
 class TestSummary:
-    def test_empty(self):
-        assert "no tasks" in summarize([])
+    def test_empty(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        TraceWriter(path)
+        assert "no tasks" in digest(read_trace(path).task_spans)
 
-    def test_digest_mentions_counts(self):
-        t = Telemetry(clock=_fixed_clock)
-        t.span("a", status="ok", wall_s=1.0, cache_hit=True, retries=0)
-        t.span("b", status="failed", wall_s=2.0, cache_hit=False, retries=2, peak_rss_kb=4096)
-        digest = t.summary()
-        assert "2 task(s)" in digest
-        assert "1 failed" in digest and "1 ok" in digest
-        assert "cache 1 hit / 1 miss" in digest
-        assert "2 retrie(s)" in digest
-        assert "3.0s total" in digest
+    def test_digest_mentions_counts(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        writer = TraceWriter(path)
+        _task_summary(writer, "a", status="ok", wall_s=1.0, cache_hit=True, retries=0)
+        _task_summary(
+            writer, "b", status="failed", wall_s=2.0, cache_hit=False, retries=2, peak_rss_kb=4096
+        )
+        line = digest(read_trace(path).task_spans)
+        assert "2 task(s)" in line
+        assert "1 failed" in line and "1 ok" in line
+        assert "cache 1 hit / 1 miss" in line
+        assert "2 retrie(s)" in line
+        assert "3.0s total" in line

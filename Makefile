@@ -47,11 +47,13 @@ service-smoke:
 service-chaos:
 	PYTHONPATH=src $(PYTHON) -m repro.service.drill --state-dir results/service-chaos
 
-# Failure drills: fault injection, kill-and-resume, cache contention.
-# pytest-timeout (when installed) backstops a hang in the drills
-# themselves; the suite passes without it.
+# Failure drills: fault injection, kill-and-resume, cache contention,
+# and both runtimes (DagExecutor pool mode, the service's JobRunner) on
+# the shared attempt supervisor.  pytest-timeout (when installed)
+# backstops a hang in the drills themselves; the suite passes without it.
 CHAOS_TESTS = tests/runtime/test_chaos.py tests/runtime/test_journal.py \
-	tests/runtime/test_cache_hardening.py tests/experiments/test_resume.py
+	tests/runtime/test_cache_hardening.py tests/experiments/test_resume.py \
+	tests/runtime/test_supervisor.py tests/service/test_resilience.py
 
 chaos:
 	@if $(PYTHON) -c "import pytest_timeout" 2>/dev/null; then \

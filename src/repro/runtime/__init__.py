@@ -4,9 +4,14 @@ The runtime layer is what lets ``python -m repro.experiments`` scale
 past a serial for-loop while staying byte-for-byte reproducible:
 
 * :mod:`repro.runtime.task` / :mod:`repro.runtime.executor` — tasks as
-  a dependency DAG over a ``ProcessPoolExecutor``, with per-task
-  timeouts, bounded jittered retries and graceful degradation (a failed
-  experiment is reported, the rest of the batch completes);
+  a dependency DAG, run inline or with up to ``jobs`` attempts in
+  flight, with per-task timeouts, bounded jittered retries and graceful
+  degradation (a failed experiment is reported, the rest of the batch
+  completes);
+* :mod:`repro.runtime.supervisor` — one attempt in one killable child
+  process (pinned ``fork`` start, parent-death tether, hard deadline,
+  outcome classification) and the one retry backoff; the service's
+  job runner runs on it too;
 * :mod:`repro.runtime.cache` / :mod:`repro.runtime.fingerprint` — a
   content-addressed result cache keyed on ``(experiment id, kwargs,
   code fingerprint)``, checksummed on read, with advisory per-key locks
@@ -21,7 +26,7 @@ past a serial for-loop while staying byte-for-byte reproducible:
 
 Tracing, metrics and profiling live in :mod:`repro.obs` (see
 docs/OBSERVABILITY.md); the executor reports retries, timeouts and
-pool rebuilds as ambient :func:`repro.obs.event` records.
+injected faults as ambient :func:`repro.obs.event` records.
 
 The layer is deliberately generic: it knows nothing about Co-plots or
 workload models, only picklable callables — see docs/RUNTIME.md and

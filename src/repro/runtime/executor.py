@@ -3,8 +3,9 @@
 :class:`DagExecutor` runs a set of :class:`~repro.runtime.task.TaskSpec`
 objects respecting their dependency edges.  With ``jobs == 1`` tasks run
 inline in the current process (no pickling, no subprocess overhead —
-the mode the serial CLI default uses); with ``jobs >= 2`` tasks fan out
-over a :class:`concurrent.futures.ProcessPoolExecutor`.
+the mode the serial CLI default uses); with ``jobs >= 2`` up to ``jobs``
+attempts run at once, each in its own child process under
+:class:`~repro.runtime.supervisor.Attempt`, all waited on together.
 
 Failure semantics (both modes):
 
@@ -14,14 +15,13 @@ Failure semantics (both modes):
   of the batch still completes (graceful degradation);
 * tasks downstream of a failure are reported ``skipped``;
 * a task attempt exceeding ``task.timeout`` seconds is a ``timeout``.
-  In process mode the worker is killed and the pool rebuilt (in-flight
-  survivors are resubmitted without consuming a retry); inline mode
-  cannot preempt, so the attempt is detected as late *after* it returns
-  and its value is discarded;
-* a worker process that *dies* (segfault, ``os._exit``, OOM kill)
-  breaks the pool: the attempts lost with it are charged a retry, the
-  pool is rebuilt (a ``pool_rebuild`` event records why) and the batch
-  continues.
+  In process mode its child alone is SIGKILLed at the deadline; inline
+  mode cannot preempt, so the attempt is detected as late *after* it
+  returns and its value is discarded;
+* a worker process that *dies* (segfault, ``os._exit``, OOM kill) or
+  cannot be started fails that one attempt (``worker process died
+  (exit code N)``), which is retried like any other failure; the tasks
+  running beside it are not touched.
 
 Failed attempts report the wall time measured *inside* the worker, not
 time-in-queue — an attempt that raised after 0.2s on a saturated pool
@@ -36,9 +36,9 @@ inject identically.  Pass ``on_result`` to observe every terminal
 :class:`TaskResult` (including skips) the moment it is recorded — the
 runner's crash-safe journal hangs off this hook.
 
-Events (``retry``, ``timeout``, ``pool_rebuild``, ``fault_injected``)
-go to the ambient tracer (:func:`repro.obs.event`, a no-op when none is
-installed) and, with ``metrics`` attached, bump the matching counters.
+Events (``retry``, ``timeout``, ``fault_injected``) go to the ambient
+tracer (:func:`repro.obs.event`, a no-op when none is installed) and,
+with ``metrics`` attached, bump the matching counters.
 
 The executor never raises on task failure; inspect the returned
 ``TaskResult`` map instead.
@@ -46,23 +46,17 @@ The executor never raises on task failure; inspect the returned
 
 from __future__ import annotations
 
-import random
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import event
 from repro.runtime.faults import FaultPlan
+from repro.runtime.supervisor import Attempt, Outcome, backoff_delay, wait_any
 from repro.runtime.task import TaskResult, TaskSpec, TaskStatus, toposort
 
 __all__ = ["DagExecutor"]
-
-#: Seconds the event loop waits on in-flight futures per tick.
-_TICK_S = 0.05
-
 
 def _peak_rss_kb() -> Optional[int]:
     try:
@@ -81,7 +75,7 @@ def _run_attempt(
     Returns ``(True, value, wall, rss)`` on success and
     ``(False, "ExcType: message", wall, rss)`` on failure — errors travel
     back as values so a failed attempt is billed the wall time it spent
-    *in the function*, not the time its future spent queued.
+    *in the function*, not the time it spent waiting for a slot.
     """
     start = time.perf_counter()
     try:
@@ -90,19 +84,6 @@ def _run_attempt(
         wall = time.perf_counter() - start
         return False, f"{type(exc).__name__}: {exc}", wall, _peak_rss_kb()
     return True, value, time.perf_counter() - start, _peak_rss_kb()
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down hard, terminating any still-running workers."""
-    procs = list(getattr(pool, "_processes", {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in procs:
-        try:
-            proc.terminate()
-        except Exception:  # pragma: no cover - process already gone
-            pass
-    for proc in procs:
-        proc.join(timeout=2.0)
 
 
 class DagExecutor:
@@ -145,16 +126,9 @@ class DagExecutor:
 
     # -- shared helpers -----------------------------------------------------
 
-    def _backoff_delay(self, task: TaskSpec, attempt: int) -> float:
-        """Exponential backoff with deterministic per-(task, attempt) jitter."""
-        base = min(self.backoff_cap_s, self.backoff_base_s * (2 ** (attempt - 1)))
-        jitter = random.Random(f"{task.id}:{attempt}").uniform(0.5, 1.5)
-        return base * jitter
-
     #: Event kinds mirrored into metrics counters when a registry is attached.
     _EVENT_COUNTERS = {
         "retry": "retries_total",
-        "pool_rebuild": "pool_rebuilds_total",
         "timeout": "timeouts_total",
         "fault_injected": "faults_injected_total",
     }
@@ -263,7 +237,7 @@ class DagExecutor:
             else:
                 status, error = TaskStatus.FAILED, value
             if attempt <= task.retries:
-                delay = self._backoff_delay(task, attempt)
+                delay = backoff_delay(task.id, attempt, self.backoff_base_s, self.backoff_cap_s)
                 self._event("retry", task=task.id, attempt=attempt, delay_s=round(delay, 4), error=error)
                 self._sleep(delay)
                 continue
@@ -278,7 +252,7 @@ class DagExecutor:
         # Queue entries are (task, attempt-number-about-to-run).
         ready: deque = deque((t, 1) for t in ordered if not t.deps)
         sleeping: List[Tuple[float, TaskSpec, int]] = []
-        in_flight: Dict[Any, Tuple[TaskSpec, int, float, Optional[float]]] = {}
+        in_flight: Dict[Attempt, Tuple[TaskSpec, int]] = {}
 
         def finish(task: TaskSpec, result: TaskResult) -> None:
             results[task.id] = result
@@ -293,13 +267,26 @@ class DagExecutor:
 
         def fail_or_retry(task: TaskSpec, attempt: int, status: TaskStatus, error: str, wall: float) -> None:
             if attempt <= task.retries:
-                delay = self._backoff_delay(task, attempt)
+                delay = backoff_delay(task.id, attempt, self.backoff_base_s, self.backoff_cap_s)
                 self._event("retry", task=task.id, attempt=attempt, delay_s=round(delay, 4), error=error)
                 sleeping.append((time.monotonic() + delay, task, attempt + 1))
             else:
                 finish(task, TaskResult(id=task.id, status=status, error=error, attempts=attempt, wall_s=wall))
 
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
+        def settle(task: TaskSpec, attempt: int, outcome: Outcome) -> None:
+            if outcome.kind == "done":
+                ok, value, wall, rss = outcome.value
+                if not ok:  # worker-side wall time: queue wait is not billed
+                    fail_or_retry(task, attempt, TaskStatus.FAILED, value, wall)
+                    return
+                finish(task, TaskResult(id=task.id, status=TaskStatus.OK, value=value,
+                                        attempts=attempt, wall_s=wall, peak_rss_kb=rss))
+            elif outcome.kind == "timeout":
+                self._event("timeout", task=task.id, attempt=attempt, timeout_s=task.timeout)
+                fail_or_retry(task, attempt, TaskStatus.TIMEOUT, outcome.error, outcome.elapsed_s)
+            else:  # crashed, or failed to start / report
+                fail_or_retry(task, attempt, TaskStatus.FAILED, outcome.error, outcome.elapsed_s)
+
         try:
             while ready or sleeping or in_flight:
                 now = time.monotonic()
@@ -311,91 +298,24 @@ class DagExecutor:
                 while ready and len(in_flight) < self.jobs:
                     task, attempt = ready.popleft()
                     fn = self._arm(task, attempt)
-                    future = pool.submit(_run_attempt, fn, dict(task.kwargs))
-                    deadline = now + task.timeout if task.timeout is not None else None
-                    in_flight[future] = (task, attempt, now, deadline)
+                    running = Attempt(_run_attempt, (fn, dict(task.kwargs)), timeout_s=task.timeout)
+                    in_flight[running] = (task, attempt)
 
+                wake = None
+                if sleeping:  # the earliest backoff expiry
+                    wake = max(0.0, min(e[0] for e in sleeping) - time.monotonic())
                 if not in_flight:
-                    if sleeping:  # idle until the earliest backoff expires
-                        self._sleep(max(0.0, min(e[0] for e in sleeping) - time.monotonic()))
+                    if wake is not None:
+                        self._sleep(wake)
                     continue
 
-                done, _ = wait(list(in_flight), timeout=_TICK_S, return_when=FIRST_COMPLETED)
-                broken = False
-                for future in done:
-                    task, attempt, started, _deadline = in_flight.pop(future)
-                    try:
-                        ok, value, wall, rss = future.result()
-                    except BrokenProcessPool:
-                        # The worker running (or queued to run) this attempt
-                        # died mid-flight; the attempt is charged, the pool is
-                        # rebuilt below.
-                        broken = True
-                        fail_or_retry(
-                            task,
-                            attempt,
-                            TaskStatus.FAILED,
-                            "worker process died (broken pool)",
-                            time.monotonic() - started,
-                        )
-                    except Exception as exc:  # pragma: no cover - pickling etc.
-                        fail_or_retry(
-                            task,
-                            attempt,
-                            TaskStatus.FAILED,
-                            f"{type(exc).__name__}: {exc}",
-                            time.monotonic() - started,
-                        )
-                    else:
-                        if ok:
-                            finish(
-                                task,
-                                TaskResult(
-                                    id=task.id,
-                                    status=TaskStatus.OK,
-                                    value=value,
-                                    attempts=attempt,
-                                    wall_s=wall,
-                                    peak_rss_kb=rss,
-                                ),
-                            )
-                        else:
-                            # Worker-side wall time: queue wait is not billed.
-                            fail_or_retry(task, attempt, TaskStatus.FAILED, value, wall)
-
-                if broken:
-                    survivors = list(in_flight.values())
-                    in_flight.clear()
-                    _kill_pool(pool)
-                    pool = ProcessPoolExecutor(max_workers=self.jobs)
-                    self._event("pool_rebuild", reason="broken", resubmitted=len(survivors))
-                    for task, attempt, _started, _dl in survivors:
-                        ready.appendleft((task, attempt))
-                    continue
-
-                now = time.monotonic()
-                expired = [f for f, (_t, _a, _s, dl) in in_flight.items() if dl is not None and now > dl]
-                if expired:
-                    victims = [in_flight[f] for f in expired]
-                    survivors = [v for f, v in in_flight.items() if f not in expired]
-                    in_flight.clear()
-                    # A running future cannot be cancelled: kill the workers
-                    # and rebuild the pool, resubmitting innocent bystanders
-                    # without charging their retry budget.
-                    _kill_pool(pool)
-                    pool = ProcessPoolExecutor(max_workers=self.jobs)
-                    self._event("pool_rebuild", reason="timeout", resubmitted=len(survivors))
-                    for task, attempt, _started, _dl in survivors:
-                        ready.appendleft((task, attempt))
-                    for task, attempt, started, _dl in victims:
-                        self._event("timeout", task=task.id, attempt=attempt, timeout_s=task.timeout)
-                        fail_or_retry(
-                            task,
-                            attempt,
-                            TaskStatus.TIMEOUT,
-                            f"attempt exceeded {task.timeout}s",
-                            now - started,
-                        )
+                wait_any(in_flight, timeout=wake)
+                for running in list(in_flight):
+                    outcome = running.poll()
+                    if outcome is not None:
+                        task, attempt = in_flight.pop(running)
+                        settle(task, attempt, outcome)
         finally:
-            _kill_pool(pool)
+            for running in in_flight:
+                running.kill()
         return results

@@ -20,8 +20,8 @@ the cache key, never the random job id, so a failure found under
     runs — the retry/backoff path, exactly like an experiment bug.
 ``hang``
     The attempt sleeps ``hang_s`` seconds first — the timeout path:
-    worker kill + pool rebuild in process mode, post-hoc detection in
-    inline mode, the SIGKILL deadline (504) in the service.
+    the SIGKILL deadline of the one timed-out worker in process mode
+    (and in the service, as a 504), post-hoc detection in inline mode.
 ``corrupt``
     The attempt "succeeds" with deterministic garbage instead of
     running — silent corruption the caller's payload validation must
@@ -29,10 +29,11 @@ the cache key, never the random job id, so a failure found under
     :func:`tear_journal` appends a torn line to the jobs journal before
     the (clean) attempt, and writers and replay must shrug it off.
 ``exit``
-    The attempt calls ``os._exit(exit_code)``.  In process-pool mode
-    this kills the worker (the executor absorbs the resulting
-    ``BrokenProcessPool`` and rebuilds; the service charges the spec's
-    poison counter); in inline mode it kills the *whole run*, which is
+    The attempt calls ``os._exit(exit_code)``.  In process mode this
+    kills only that attempt's worker, which the shared supervisor
+    (:mod:`repro.runtime.supervisor`) classifies as a crash: the
+    executor retries it, the service also charges the spec's poison
+    counter.  In inline mode it kills the *whole run*, which is
     precisely the crash that ``--resume`` recovers from.  Never inject
     ``exit`` into an in-process test run unless that run is a
     subprocess.

@@ -7,13 +7,14 @@ Each accepted submission becomes one journaled job record
 1. marks the job ``running`` and opens the job span (parented to the
    submitting request's span, so the trace nests request → job →
    worker spans),
-2. spawns the attempt in a dedicated **worker subprocess**
-   (:mod:`repro.service.worker`) and watches it: every tick it checks
-   the result pipe, the job's cancel flag and the ``job_timeout_s``
-   deadline,
-3. on deadline or client cancellation SIGKILLs the worker and reaps it
-   — timeouts are *hard*: the slot frees immediately, no thread is left
-   wedged behind a hung compute,
+2. runs the attempt (:mod:`repro.service.worker`) in a dedicated
+   **worker subprocess** under the runtime's shared
+   :class:`~repro.runtime.supervisor.Attempt`, with the
+   ``job_timeout_s`` deadline and the job's cancel flag (or a hard
+   drain) as its stop predicate,
+3. on deadline, cancellation or drain the worker is SIGKILLed and
+   reaped — timeouts are *hard*: the slot frees immediately, no thread
+   is left wedged behind a hung compute,
 4. retries transient failures (worker crash, injected fault, I/O
    contention) with jittered exponential backoff, charging worker
    crashes to the spec's poison counter — a spec that crashes its
@@ -31,7 +32,7 @@ headroom on ``/readyz``) instead of queueing without limit.
 
 Concurrency discipline: ``_state`` (a Condition) guards the slot count,
 per-job controls and lifecycle flags and is never held across I/O —
-journal writes, pipe reads and process reaping all happen outside it.
+journal writes and the supervised attempt all happen outside it.
 The store's own two-lock protocol (see :mod:`repro.service.store`)
 covers durability.
 """
@@ -39,9 +40,7 @@ covers durability.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -51,6 +50,7 @@ from repro.obs import MetricsRegistry, Tracer, TraceWriter, event, reset_tracer,
 from repro.obs import clock as obs_clock
 from repro.runtime.cache import ResultCache
 from repro.runtime.faults import FaultPlan, tear_journal
+from repro.runtime.supervisor import Attempt, Outcome, backoff_delay
 from repro.service.errors import ServiceError
 from repro.service.store import TERMINAL_STATES, JobStore
 from repro.service.worker import job_worker_main
@@ -64,29 +64,21 @@ RUNS_DIR_NAME = "runs"
 #: Histogram buckets for job wall time (seconds).
 _JOB_BUCKETS = (0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0)
 
-#: Seconds the watchdog waits per tick on the worker's result pipe.
-_TICK_S = 0.05
-
-#: Seconds to wait for a killed worker to be reaped before re-killing.
-_REAP_S = 5.0
-
 
 class _JobControl:
     """Per-job supervision handle shared by API threads and the supervisor.
 
     ``claimed`` arbitrates ownership of the terminal write: the
     supervisor claims at pickup; a cancel that arrives first claims
-    instead and writes ``cancelled`` itself.  All fields are guarded by
-    the runner's ``_state`` lock except ``cancel`` (an Event, safe
-    anywhere).
+    instead and writes ``cancelled`` itself.  ``claimed`` is guarded by
+    the runner's ``_state`` lock; ``cancel`` is an Event, safe anywhere.
     """
 
-    __slots__ = ("cancel", "claimed", "proc")
+    __slots__ = ("cancel", "claimed")
 
     def __init__(self) -> None:
         self.cancel = threading.Event()
         self.claimed = False
-        self.proc: Optional[multiprocessing.process.BaseProcess] = None
 
 
 class JobRunner:
@@ -144,7 +136,6 @@ class JobRunner:
         self._controls: Dict[str, _JobControl] = {}
         self._closed = False
         self._abandoned = False
-        self._mp = multiprocessing.get_context()
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-service"
         )
@@ -253,9 +244,10 @@ class JobRunner:
         """Client-initiated cancellation: ``DELETE /v1/analyses/{id}``.
 
         A queued job is cancelled on the spot (its slot frees
-        immediately); a running one has its worker SIGKILLed and the
-        supervisor writes the ``cancelled`` terminal state within a
-        watchdog tick.  Terminal jobs refuse with ``not_cancellable``.
+        immediately); a running one has its worker SIGKILLed by the
+        supervisor, which writes the ``cancelled`` terminal state within
+        a stop-predicate tick.  Terminal jobs refuse with
+        ``not_cancellable``.
         """
         record = self.store.get(job_id)
         if record is None:
@@ -269,7 +261,6 @@ class JobRunner:
                 status=status,
             )
         finish_now = False
-        kill_proc = None
         with self._state:
             control = self._controls.get(job_id)
             if control is None:
@@ -281,10 +272,6 @@ class JobRunner:
                 if not control.claimed:
                     control.claimed = True  # supervisor pickup becomes a no-op
                     finish_now = True
-                else:
-                    kill_proc = control.proc
-        if kill_proc is not None:
-            _kill(kill_proc)
         if finish_now:
             record = self.store.update(
                 job_id,
@@ -335,7 +322,7 @@ class JobRunner:
         """Stop accepting work and wait for live jobs, bounded by *timeout_s*.
 
         Returns the ids of jobs still unfinished when the bound expired.
-        Those jobs' workers are SIGKILLed and their records set back to
+        Their supervisors SIGKILL the workers and set the records back to
         ``queued`` (``drain_requeued``) — the next boot re-runs them
         *without* a poison charge, since the interruption was ours, not
         theirs.
@@ -353,11 +340,8 @@ class JobRunner:
                     break
                 self._state.wait(timeout=0.2 if remaining is None else min(0.2, remaining))
             pending = list(self._controls.keys())
-            procs = [c.proc for c in self._controls.values() if c.proc is not None]
             if pending:
                 self._abandoned = True
-        for proc in procs:
-            _kill(proc)
         self._pool.shutdown(wait=True)
         return pending
 
@@ -416,20 +400,28 @@ class JobRunner:
                 self.metrics.inc("chaos_journal_tears_total")
                 event("chaos_journal_torn", job=job_id, attempt=attempt)
                 fault = None
-            outcome = self._attempt(job_id, record, control, attempt, fault, handle)
-            kind = outcome["kind"]
-            if kind == "done":
-                self._finish_done(job_id, record, t0, attempt, outcome, handle)
+            outcome = self._attempt(record, control, fault, handle)
+            report = outcome.value if outcome.kind == "done" else None
+            if report is not None and report.get("ok"):
+                self._finish_done(job_id, record, t0, attempt, report, handle)
                 return
-            if kind == "cancelled":
+            # A stop (cancel or hard drain) wins over however else the
+            # attempt ended.
+            if control.cancel.is_set():
                 self._finish_cancelled(job_id, t0, attempt)
                 return
-            if kind == "abandoned":
+            if self._abandoned:
                 # Drain gave up on us: hand the job to the next boot.
                 self.store.update(job_id, status="queued", drain_requeued=True)
                 return
-            if kind == "timeout":
+            if outcome.kind == "timeout":
                 self.metrics.inc("job_timeouts_total")
+                event(
+                    "job_timeout_kill",
+                    job=job_id,
+                    attempt=attempt,
+                    timeout_s=self.job_timeout_s,
+                )
                 self._finish_error(
                     job_id,
                     t0,
@@ -437,150 +429,65 @@ class JobRunner:
                     code="timeout",
                     message=f"job exceeded its {self.job_timeout_s:.1f}s limit; "
                     "worker killed at the deadline",
-                    elapsed_s=round(outcome["elapsed"], 3),
+                    elapsed_s=round(outcome.elapsed_s, 3),
                     limit_s=self.job_timeout_s,
                 )
                 return
-            # kind == "failed".  A worker we killed ourselves (cancel or
-            # drain) dies with the pipe open and is indistinguishable
-            # from a crash at the pipe — reclassify before charging the
-            # spec's poison counter for our own kill.
-            if control.cancel.is_set():
-                self._finish_cancelled(job_id, t0, attempt)
-                return
-            if self._abandoned:
-                self.store.update(job_id, status="queued", drain_requeued=True)
-                return
-            if outcome.get("crashed"):
+            if outcome.kind == "crashed":
                 self.metrics.inc("worker_crashes_total")
                 if record.get("key"):
                     count = self.store.record_key_failure(record["key"])
                     if count >= self.poison_threshold:
                         self._finish_poisoned(job_id, t0, attempt, count)
                         return
-            if not outcome.get("transient") or attempt > self.job_retries:
+            # A crash or a failed process start is worth a retry; the
+            # worker's own report says whether its failure is.
+            if report is None:
+                report = {"code": "job_failed", "message": outcome.error, "transient": True}
+            if not report["transient"] or attempt > self.job_retries:
                 self._finish_error(
-                    job_id, t0, attempt, code=outcome["code"], message=outcome["message"]
+                    job_id, t0, attempt, code=report["code"], message=report["message"]
                 )
                 return
-            delay = self._backoff_delay(job_id, attempt)
+            delay = backoff_delay(job_id, attempt, self.backoff_base_s, self.backoff_cap_s)
             self.metrics.inc("job_retries_total")
             event(
                 "job_retry",
                 job=job_id,
                 attempt=attempt,
                 delay_s=round(delay, 4),
-                error=outcome["message"],
+                error=report["message"],
             )
             if control.cancel.wait(delay):
                 self._finish_cancelled(job_id, t0, attempt)
                 return
 
-    def _attempt(
-        self,
-        job_id: str,
-        record: Dict[str, Any],
-        control: _JobControl,
-        attempt: int,
-        fault,
-        handle,
-    ) -> Dict[str, Any]:
-        """Run one attempt in a worker subprocess under the watchdog."""
+    def _attempt(self, record: Dict[str, Any], control: _JobControl, fault, handle) -> Outcome:
+        """Run one attempt in a supervised worker subprocess."""
         envelope = {
             "kind": record["kind"],
             "spec": record["spec"],
             "cache_dir": self.cache_dir,
             "fingerprint": self.fingerprint,
             "uploads_dir": self.store.uploads_dir,
-            "supervisor_pid": os.getpid(),
             "trace": {
                 "path": self.writer.path,
                 "trace_id": self.writer.trace_id,
                 "parent_span_id": handle.span_id,
             },
         }
-        parent_conn, child_conn = self._mp.Pipe(duplex=False)
-        proc = self._mp.Process(
-            target=job_worker_main,
-            args=(child_conn, envelope, fault),
-            daemon=True,
-            name=f"repro-job-{job_id[:8]}",
-        )
-        started = time.monotonic()
-        deadline = None if self.job_timeout_s is None else started + self.job_timeout_s
-        with self._state:
-            control.proc = proc
-        result = None
-        try:
-            proc.start()
-            child_conn.close()
-            while True:
-                try:
-                    if parent_conn.poll(_TICK_S):
-                        result = parent_conn.recv()
-                        break
-                except (EOFError, OSError):
-                    break  # worker died with the pipe open
-                if control.cancel.is_set():
-                    _kill(proc)
-                    return {"kind": "cancelled"}
-                if self._abandoned:
-                    _kill(proc)
-                    return {"kind": "abandoned"}
-                now = time.monotonic()
-                if deadline is not None and now > deadline:
-                    # The hard deadline: SIGKILL, reap (in finally), and
-                    # free the slot for the next job.
-                    _kill(proc)
-                    event(
-                        "job_timeout_kill",
-                        job=job_id,
-                        attempt=attempt,
-                        timeout_s=self.job_timeout_s,
-                    )
-                    return {"kind": "timeout", "elapsed": now - started}
-                if not proc.is_alive():
-                    # Dead without a pipe message in this tick: drain any
-                    # message it managed to send on the way down.
-                    try:
-                        if parent_conn.poll(0):
-                            result = parent_conn.recv()
-                    except (EOFError, OSError):
-                        pass
-                    break
-        finally:
-            exitcode = _reap(proc)
-            with self._state:
-                control.proc = None
-            parent_conn.close()
-        if result is None:
-            return {
-                "kind": "failed",
-                "transient": True,
-                "crashed": True,
-                "code": "job_failed",
-                "message": f"worker process died (exit code {exitcode})",
-            }
-        if result.get("ok"):
-            return {
-                "kind": "done",
-                "hit": bool(result.get("hit")),
-                "key": result.get("key"),
-                "elapsed": time.monotonic() - started,
-            }
-        return {
-            "kind": "failed",
-            "transient": bool(result.get("transient")),
-            "crashed": False,
-            "code": result.get("code", "job_failed"),
-            "message": result.get("message", "job failed"),
-        }
+        return Attempt(
+            job_worker_main,
+            (envelope, fault),
+            timeout_s=self.job_timeout_s,
+            stop=lambda: control.cancel.is_set() or self._abandoned,
+        ).wait()
 
     # -- terminal transitions ------------------------------------------------
 
-    def _finish_done(self, job_id, record, t0, attempt, outcome, handle) -> None:
+    def _finish_done(self, job_id, record, t0, attempt, report, handle) -> None:
         elapsed = time.monotonic() - t0
-        hit, key = outcome["hit"], outcome["key"]
+        hit, key = bool(report.get("hit")), report.get("key")
         handle.set(cache_hit=hit)
         payload = self.cache.get(key) if key else None
         run_dir = (
@@ -641,11 +548,6 @@ class JobRunner:
         )
         self.metrics.inc("analyses_poisoned_total")
 
-    def _backoff_delay(self, job_id: str, attempt: int) -> float:
-        """Exponential backoff with deterministic per-(job, attempt) jitter."""
-        base = min(self.backoff_cap_s, self.backoff_base_s * (2 ** (attempt - 1)))
-        return base * random.Random(f"{job_id}:{attempt}").uniform(0.5, 1.5)
-
     def _write_run_dir(self, job_id: str, record: Dict[str, Any], payload: Dict[str, Any]) -> str:
         """Persist one job's outputs into a fresh stamped run directory.
 
@@ -687,30 +589,3 @@ class JobRunner:
             )
         return run_dir
 
-
-def _kill(proc) -> None:
-    """SIGKILL a worker; safe on processes that never started or died."""
-    try:
-        proc.kill()
-    except (ValueError, AttributeError, OSError):  # pragma: no cover - already gone
-        pass
-
-
-def _reap(proc) -> Optional[int]:
-    """Join (and if necessary re-kill) a worker so no zombie outlives us.
-
-    Returns the exit code, read *before* ``close()`` makes the process
-    object unusable.
-    """
-    if proc.pid is None:
-        return None  # never started
-    try:
-        proc.join(timeout=_REAP_S)
-        if proc.is_alive():  # pragma: no cover - kill raced the join
-            proc.kill()
-            proc.join(timeout=_REAP_S)
-        exitcode = proc.exitcode
-        proc.close()
-        return exitcode
-    except (ValueError, OSError):  # pragma: no cover - already reaped
-        return None

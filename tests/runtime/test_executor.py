@@ -5,12 +5,13 @@ pickle them; flaky behaviour is injected through a counter file shared
 across processes.
 """
 
+import errno
 import os
 import time
 
 import pytest
 
-from repro.runtime import DagExecutor, TaskSpec, TaskStatus, toposort
+from repro.runtime import DagExecutor, TaskSpec, TaskStatus, supervisor, toposort
 
 
 def add(a, b):
@@ -35,6 +36,14 @@ def flaky(counter_path, fail_times):
 
 
 def snooze(seconds):
+    time.sleep(seconds)
+    return "slept"
+
+
+def counted_snooze(counter_path, seconds):
+    """Sleep, leaving one mark per run in *counter_path*."""
+    with open(counter_path, "a") as fh:
+        fh.write("x")
     time.sleep(seconds)
     return "slept"
 
@@ -145,10 +154,12 @@ class TestSerialMode:
         assert results["slow"].value is None
 
     def test_backoff_is_deterministic(self):
-        ex = _executor()
-        task = TaskSpec(id="t", fn=add)
-        assert ex._backoff_delay(task, 1) == ex._backoff_delay(task, 1)
-        assert ex._backoff_delay(task, 1) != ex._backoff_delay(task, 2)
+        # Pinned to the delays both runtimes produced before they shared
+        # one backoff: exponential in the attempt, capped, jittered by a
+        # Random seeded on "<key>:<attempt>".
+        assert supervisor.backoff_delay("t", 1, 0.25, 8.0) == 0.35704540718873606
+        assert supervisor.backoff_delay("t", 2, 0.25, 8.0) == 0.42228704597956834
+        assert supervisor.backoff_delay("table3", 6, 0.25, 8.0) == 10.765301518689652
 
 
 class TestProcessPoolMode:
@@ -188,6 +199,40 @@ class TestProcessPoolMode:
         assert results["hang"].status is TaskStatus.TIMEOUT
         assert results["quick"].value == 3
         assert elapsed < 20.0, "timed-out worker was not killed"
+
+    def test_timeout_kills_only_the_victim(self, tmp_path):
+        counter = tmp_path / "runs"
+        results = _executor(jobs=2).run(
+            [
+                TaskSpec(
+                    id="bystander",
+                    fn=counted_snooze,
+                    kwargs={"counter_path": str(counter), "seconds": 1.0},
+                ),
+                TaskSpec(id="hang", fn=snooze, kwargs={"seconds": 30.0}, timeout=0.3),
+            ]
+        )
+        assert results["hang"].status is TaskStatus.TIMEOUT
+        assert results["bystander"].ok
+        assert counter.read_text() == "x", "the timeout kill restarted a bystander"
+
+    def test_failed_process_start_is_a_retried_attempt(self, monkeypatch):
+        real_start = supervisor.CONTEXT.Process.start
+        starts = []
+
+        def start_fails_once(proc):
+            starts.append(proc)
+            if len(starts) == 1:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            real_start(proc)
+
+        monkeypatch.setattr(supervisor.CONTEXT.Process, "start", start_fails_once)
+        results = _executor(jobs=2).run(
+            [TaskSpec(id="t", fn=add, kwargs={"a": 1, "b": 2}, retries=1)]
+        )
+        assert results["t"].ok
+        assert results["t"].value == 3
+        assert results["t"].attempts == 2
 
     def test_failed_task_billed_in_function_wall_not_queue_wait(self):
         # Both workers are pinned by sleepers, so the failing task sits

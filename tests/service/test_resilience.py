@@ -7,7 +7,9 @@ identity — deterministic per spec, stable across restarts.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -15,6 +17,7 @@ import urllib.request
 
 import pytest
 
+from repro.runtime import supervisor
 from repro.service.app import ServiceApp
 from repro.service.store import JobStore
 
@@ -206,6 +209,31 @@ class TestRetriesAndPoison:
         _, metrics, _ = http(f"{svc['base']}/metrics")
         text = metrics.decode()
         assert read_metric(text, "worker_crashes_total") == 1
+        assert read_metric(text, "job_retries_total") == 1
+
+    def test_failed_worker_start_is_retried_to_done(
+        self, service_factory, http, poll_done, monkeypatch, read_metric
+    ):
+        """A fork that fails (EAGAIN) is a transient failed attempt: the
+        job retries and completes on attempt 2, with no crash charged."""
+        real_start = supervisor.CONTEXT.Process.start
+        starts = []
+
+        def start_fails_once(proc):
+            starts.append(proc)
+            if len(starts) == 1:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            real_start(proc)
+
+        monkeypatch.setattr(supervisor.CONTEXT.Process, "start", start_fails_once)
+        svc = service_factory(workers=1)
+        job_id = _submit(http, svc, _doc(CHEAP_HURST))
+        job = poll_done(svc["base"], job_id)
+        assert job["status"] == "done", job.get("error")
+        assert job["attempts"] == 2
+        _, metrics, _ = http(f"{svc['base']}/metrics")
+        text = metrics.decode()
+        assert read_metric(text, "worker_crashes_total") == 0
         assert read_metric(text, "job_retries_total") == 1
 
     def test_repeat_crasher_is_poisoned_then_pardoned(

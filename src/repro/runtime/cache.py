@@ -128,9 +128,6 @@ class ResultCache:
         """Where *key*'s entry lives (whether or not it exists)."""
         return self.root / key[:2] / f"{key}.json"
 
-    # Backwards-compatible alias used by older call sites.
-    _path = entry_path
-
     def _quarantine(self, path: Path) -> Optional[Path]:
         """Move a damaged entry aside as ``<key>.corrupt`` for post-mortem."""
         target = path.with_suffix(".corrupt")

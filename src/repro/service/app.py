@@ -3,15 +3,16 @@
 Dependency-free on purpose — ``http.server.ThreadingHTTPServer`` from
 the stdlib carries the API, so the service runs anywhere the library
 does.  The :class:`ServiceApp` object owns all state (job store, worker
-pool, metrics registry, trace writer, runtime cache) and exposes the
-API as plain methods; :class:`_Handler` is a thin translation layer
+pool and its runtime cache, metrics registry, trace writer) and exposes
+the API as plain methods; :class:`_Handler` is a thin translation layer
 from HTTP requests onto those methods, so every operation is testable
 without a socket.
 
 Endpoints (see docs/SERVICE.md for payload schemas):
 
 ====================================  =======================================
-``POST /v1/analyses``                 submit an analysis; 202 + job id
+``POST /v1/analyses``                 submit an analysis; 202 + job id,
+                                      ``done`` already on a cache hit
                                       (429 + ``Retry-After`` when the
                                       bounded queue is full; 410 when the
                                       spec is quarantined)
@@ -43,7 +44,6 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.obs import MetricsRegistry, Tracer, TraceWriter
 from repro.obs import clock as obs_clock
-from repro.runtime.cache import ResultCache
 from repro.runtime.faults import parse_chaos_spec
 from repro.runtime.fingerprint import code_fingerprint
 from repro.service.analyses import parse_analysis_request, spec_cache_key
@@ -94,6 +94,20 @@ def _public_job(record: Dict[str, Any]) -> Dict[str, Any]:
     return {k: record[k] for k in _PUBLIC_JOB_FIELDS if k in record}
 
 
+def _accepted(job_id: str, status: str, kind: Any, key: Any) -> Dict[str, Any]:
+    """The ``202`` body of a submission or a retry."""
+    return {
+        "job_id": job_id,
+        "status": status,
+        "kind": kind,
+        "key": key,
+        "links": {
+            "status": f"/v1/analyses/{job_id}",
+            "result": f"/v1/analyses/{job_id}/result",
+        },
+    }
+
+
 class ServiceApp:
     """Everything one service process owns, HTTP aside."""
 
@@ -120,7 +134,6 @@ class ServiceApp:
         self.writer = TraceWriter(os.path.join(state_dir, TRACE_FILE_NAME))
         self.tracer = Tracer(self.writer, trace_id=self.writer.trace_id)
         self.fingerprint = code_fingerprint()
-        self.cache = ResultCache(self.cache_dir, fingerprint=self.fingerprint)
         self.draining = False
         self._submit_lock = threading.Lock()
         self.runner = JobRunner(
@@ -153,10 +166,13 @@ class ServiceApp:
         """Accept one analysis submission; returns ``(status, body)``.
 
         ``doc`` is the request document (spec + input reference); a raw
-        SWF body arrives as *upload_body* and becomes the input.  The
-        upload is spooled content-addressed and parse-validated *now*,
-        so a malformed log fails the POST with a structured 4xx instead
-        of a dead job later.
+        SWF body arrives as *upload_body* and becomes the input, spooled
+        content-addressed.  A spec whose result is already cached is
+        answered here: one ``done`` record, no worker, no admission slot,
+        and the ``202`` says ``done``.  The cache key covers the upload's
+        digest and the parser's source, so a hit needs no parse.  A miss
+        is parse-validated *now*, so a malformed log fails the POST with
+        a structured 4xx instead of a dead job later, then queued.
         """
         if self.draining:
             raise ServiceError("shutting_down", "server is draining; try again later")
@@ -165,12 +181,9 @@ class ServiceApp:
             if not upload_body.strip():
                 raise ServiceError("bad_swf", "empty SWF upload")
             upload_digest = self.store.spool_upload(upload_body)
-            try:
-                read_swf(self.store.upload_path(upload_digest))
-            except ValueError as exc:
-                raise ServiceError("bad_swf", f"malformed SWF upload: {exc}") from exc
         spec = parse_analysis_request(doc, upload_digest=upload_digest)
-        key = spec_cache_key(spec, self.cache)
+        cache = self.runner.cache
+        key = spec_cache_key(spec, cache)
         count = self.store.poison_count(key)
         if count >= self.runner.poison_threshold:
             raise ServiceError(
@@ -179,6 +192,23 @@ class ServiceApp:
                 "quarantined; pardon it with POST /v1/analyses/{id}/retry",
                 failures=count,
             )
+        payload = cache.get(key)
+        if payload is not None:
+            job_id = obs_clock.new_id()
+            self.runner.answer_hit(
+                job_id,
+                kind=spec.kind,
+                spec=spec.canonical(),
+                key=key,
+                payload=payload,
+                request_span_id=request_span_id,
+            )
+            return 202, _accepted(job_id, "done", spec.kind, key)
+        if upload_digest is not None:
+            try:
+                read_swf(self.store.upload_path(upload_digest))
+            except ValueError as exc:
+                raise ServiceError("bad_swf", f"malformed SWF upload: {exc}") from exc
         with self._submit_lock:
             existing = self.store.in_flight_for_key(key)
             if existing is not None:
@@ -206,16 +236,7 @@ class ServiceApp:
         self.store.flush()
         self.metrics.inc("analyses_submitted_total")
         self.runner.submit(job_id)
-        return 202, {
-            "job_id": job_id,
-            "status": "queued",
-            "kind": spec.kind,
-            "key": key,
-            "links": {
-                "status": f"/v1/analyses/{job_id}",
-                "result": f"/v1/analyses/{job_id}/result",
-            },
-        }
+        return 202, _accepted(job_id, "queued", spec.kind, key)
 
     def _job_or_404(self, job_id: str) -> Dict[str, Any]:
         record = self.store.get(job_id)
@@ -268,7 +289,7 @@ class ServiceApp:
                 job_id=job_id,
                 job_error=error,
             )
-        payload = self.cache.get(record["key"]) if record.get("key") else None
+        payload = self.runner.cache.get(record["key"]) if record.get("key") else None
         if payload is None:
             payload = self._run_dir_result(record)
         if payload is None:
@@ -308,16 +329,9 @@ class ServiceApp:
         if self.draining:
             raise ServiceError("shutting_down", "server is draining; try again later")
         record = self.runner.pardon(job_id)
-        return 202, {
-            "job_id": job_id,
-            "status": record.get("status", "queued"),
-            "kind": record.get("kind"),
-            "key": record.get("key"),
-            "links": {
-                "status": f"/v1/analyses/{job_id}",
-                "result": f"/v1/analyses/{job_id}/result",
-            },
-        }
+        return 202, _accepted(
+            job_id, record.get("status", "queued"), record.get("kind"), record.get("key")
+        )
 
     def health(self) -> Dict[str, Any]:
         return {
@@ -419,6 +433,10 @@ class _Handler(BaseHTTPRequestHandler):
                 err = ServiceError("internal", f"{type(exc).__name__}: {exc}")
                 status, body, content_type = err.status, err.body(), "application/json"
             handle.set(http_status=status)
+            if endpoint == "analyses_submit" and status == 202:
+                # Findable in the trace without a record of its own: a hit
+                # is the submit span whose 202 already said ``done``.
+                handle.set(job=body["job_id"], cache_hit=body["status"] == "done")
         elapsed = time.monotonic() - t0
         metrics = self.app.metrics
         metrics.inc("http_requests_total")

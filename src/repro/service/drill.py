@@ -19,9 +19,10 @@ The drill:
    - **zero lost terminal states**: A is still ``done`` after the kill
      and the tear,
    - B is recovered and reaches ``done``,
-   - **no duplicate computes**: resubmitting A's exact spec resolves
-     from the runtime cache, and the rebooted server's own ``/metrics``
-     show exactly one compute (B's) since boot,
+   - **no duplicate computes**: resubmitting A's exact spec is
+     answered from the runtime cache at submit (``202 done``, one
+     journal record), and the rebooted server's own ``/metrics`` show
+     exactly one compute (B's) since boot,
    - nothing is left ``queued``/``running``; ``/healthz`` is ok,
 
 5. shuts the survivor down gracefully (SIGTERM) and requires exit 0.
@@ -47,7 +48,7 @@ import urllib.parse
 from typing import Any, Dict, List, Optional
 
 from repro.runtime.faults import tear_journal
-from repro.service.smoke import _metric, _poll_done, _request
+from repro.service.smoke import _metric, _poll_done, _request, journal_lines
 from repro.service.store import JOBS_JOURNAL_NAME
 from repro.archive.synthesize import synthesize_workload
 from repro.workload.swf import render_swf_text
@@ -201,6 +202,12 @@ def run_drill(state_dir: str, *, chaos: Optional[str], timeout_s: float = 120.0)
             f"boot2: job B recovered to done (got {job['status']}: {job.get('error')})",
         )
         resubmit = _submit(server.base, spec_a, swf)
+        lines = journal_lines(state_dir, resubmit["job_id"])
+        check(
+            resubmit["status"] == "done" and lines == 1,
+            f"boot2: resubmitted job A answered 202 done with one journal record "
+            f"(got {resubmit['status']}, {lines} record(s))",
+        )
         job = _poll_done(server.base, resubmit["job_id"], timeout_s=timeout_s)
         check(
             job["status"] == "done" and job.get("cache_hit") is True,

@@ -5,10 +5,11 @@ drives it with :mod:`urllib` exactly the way a client would:
 
 1. upload a rendered SWF log and run a co-plot analysis on it,
 2. poll the job to completion and fetch the JSON payload and SVG map,
-3. submit the *identical* analysis again and prove — via the service's
-   own ``/metrics`` — that it resolved from the runtime cache
-   (``analysis_cache_hits_total`` moved, ``analysis_compute_total``
-   did not),
+3. submit the *identical* analysis again and prove that it resolved
+   from the runtime cache at submit: its ``202`` already says ``done``,
+   ``jobs.jsonl`` holds exactly one line for it, and the service's own
+   ``/metrics`` show ``analysis_cache_hits_total`` moved while
+   ``analysis_compute_total`` did not,
 4. check the structured 4xx contract on a malformed upload,
 5. scrape ``/metrics`` and ``/healthz``.
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import gzip
 import json
+import os
 import shutil
 import tempfile
 import threading
@@ -32,9 +34,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.archive.synthesize import synthesize_workload
 from repro.service.app import ServiceApp, make_server
+from repro.service.store import JOBS_JOURNAL_NAME
+from repro.util import jsonl
 from repro.workload.swf import render_swf_text
 
-__all__ = ["main", "run_smoke"]
+__all__ = ["journal_lines", "main", "run_smoke"]
 
 _POLL_INTERVAL_S = 0.05
 
@@ -77,8 +81,14 @@ def _metric(text: str, name: str) -> float:
     return 0.0
 
 
-def run_smoke(base: str, *, timeout_s: float = 120.0) -> List[str]:
-    """Drive one smoke pass against *base*; returns failure messages."""
+def journal_lines(state_dir: str, job_id: str) -> int:
+    """How many ``jobs.jsonl`` records in *state_dir* belong to *job_id*."""
+    records, _damaged = jsonl.read(os.path.join(state_dir, JOBS_JOURNAL_NAME))
+    return sum(r.get("type") == "job" and r.get("id") == job_id for r in records)
+
+
+def run_smoke(base: str, state_dir: str, *, timeout_s: float = 120.0) -> List[str]:
+    """Drive one smoke pass against *base* (state in *state_dir*); returns failures."""
     failures: List[str] = []
 
     def check(ok: bool, what: str) -> bool:
@@ -127,8 +137,15 @@ def run_smoke(base: str, *, timeout_s: float = 120.0) -> List[str]:
         swf,  # plain bytes this time: same digest, same key
         content_type="application/octet-stream",
     )
-    check(status == 202, "identical resubmission accepted")
-    job2 = _poll_done(base, json.loads(body)["job_id"], timeout_s=timeout_s)
+    resubmit = json.loads(body)
+    check(
+        status == 202 and resubmit.get("status") == "done",
+        f"identical resubmission answered 202 done at submit (got {status} "
+        f"{resubmit.get('status')})",
+    )
+    lines = journal_lines(state_dir, resubmit.get("job_id", ""))
+    check(lines == 1, f"cache hit journaled as one record (got {lines})")
+    job2 = _poll_done(base, resubmit["job_id"], timeout_s=timeout_s)
     check(job2.get("cache_hit") is True, "resubmission is a cache hit")
     _, after, _ = _request(f"{base}/metrics")
     after_text = after.decode()
@@ -187,7 +204,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     thread.start()
     print(f"smoke: service on http://{host}:{port} (state={state_dir})", flush=True)
     try:
-        failures = run_smoke(f"http://{host}:{port}", timeout_s=args.timeout_s)
+        failures = run_smoke(f"http://{host}:{port}", state_dir, timeout_s=args.timeout_s)
     finally:
         server.shutdown()
         server.server_close()

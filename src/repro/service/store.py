@@ -128,12 +128,13 @@ class JobStore:
                 jsonl.append(self.path, "".join(lines))
 
     def create_deferred(self, job_id: str, **fields: Any) -> Dict[str, Any]:
-        """Register a new ``queued`` job and queue its journal line.
+        """Register a new job and queue its journal line.
 
-        The record is *not* durable until the next :meth:`flush`; use
-        this when the caller holds its own lock and must not block on
-        I/O inside it.  ``None``-valued fields are dropped (an absent
-        field and a null field read identically).
+        The job starts ``queued`` unless *fields* say otherwise (a cache
+        hit is born ``done``).  The record is *not* durable until the
+        next :meth:`flush`; use this when the caller holds its own lock
+        and must not block on I/O inside it.  ``None``-valued fields are
+        dropped (an absent field and a null field read identically).
         """
         record = {
             "id": job_id,

@@ -49,11 +49,13 @@ service-chaos:
 
 # Failure drills: fault injection, kill-and-resume, cache contention,
 # and both runtimes (DagExecutor pool mode, the service's JobRunner) on
-# the shared attempt supervisor.  pytest-timeout (when installed)
-# backstops a hang in the drills themselves; the suite passes without it.
+# the shared attempt supervisor, the service lifecycle model and the
+# cache-hit edge cases.  pytest-timeout (when installed) backstops a
+# hang in the drills themselves; the suite passes without it.
 CHAOS_TESTS = tests/runtime/test_chaos.py tests/runtime/test_journal.py \
 	tests/runtime/test_cache_hardening.py tests/experiments/test_resume.py \
-	tests/runtime/test_supervisor.py tests/service/test_resilience.py
+	tests/runtime/test_supervisor.py tests/service/test_resilience.py \
+	tests/service/test_lifecycle_model.py tests/service/test_hit_path.py
 
 chaos:
 	@if $(PYTHON) -c "import pytest_timeout" 2>/dev/null; then \
